@@ -7,121 +7,35 @@
    cvttq leaves an *integer* bit pattern in an FP register.
 
    The division millicode (see {!Alpha_runtime}) is installed at its
-   fixed address by [create]. *)
+   fixed address by [create].
+
+   This file holds the ISA only; the execution tiers are
+   {!Vmachine.Engine}'s, in its no-delay shape ([btarget] is the next-pc
+   scratch every instruction writes). *)
 
 open Vmachine
+include Engine.Core
 module A = Alpha_asm
 
-let halt_addr = 0x10000000
+type insn = A.t
 
-exception Machine_error of string
-
-type t = {
-  mem : Mem.t;
-  icache : Cache.t;
-  dcache : Cache.t;
-  pdc : A.t Decode_cache.t; (* host-side predecode; no cycle effect *)
-  predecode : bool;
-  bc : block Block_cache.t; (* superblock translation cache; no cycle effect *)
-  blocks : bool;
-  rc : region Region_cache.t; (* tier-3 region cache; no cycle effect *)
-  regions : bool;
-  probe : Sim_probe.t;      (* shared telemetry probe; never touches timing *)
-  tr : Trace.t;             (* execution trace; the disabled sink is scratch *)
-  cfg : Mconfig.t;
+type arch = {
   regs : int64 array;
   fregs : int64 array; (* bit patterns *)
-  mutable pc : int;
-  mutable nextpc : int; (* next-pc scratch for [step]; avoids a per-step ref *)
-  mutable blk_i : int; (* index of the block instruction in flight; abort-fixup scratch *)
-  mutable cycles : int;
-  mutable insns : int;
   mutable stack_top : int;
 }
 
-(* A compiled straight-line run: one closure per instruction, ending at
-   the first control transfer (compiled in; no delay slots on Alpha) or
-   the [Block_cache.max_insns] cap. *)
-and block = {
-  entry : int;          (* code address of the first instruction *)
-  n : int;              (* instruction count, terminator included *)
-  run : unit -> unit;   (* the whole straight-line run fused into one closure:
-                           per-instruction icache probes, [blk_i] updates and
-                           the final pc/nextpc/insns commit are baked in at
-                           compile time *)
-  has_term : bool;      (* ends in a control transfer (vs. capped fallthrough) *)
-}
-
-(* A tier-3 region (see the MIPS twin for the full commentary): a hot
-   block plus its dominant direct-chained successors fused into one
-   closure per pass, interior branches specialized to their dominant
-   direction with a [Region_cache.Side_exit] guard, and a probe-free
-   fast pass for self-looping traces whose icache lines don't
-   conflict.  Simpler than the delay-slot ports: Alpha terminators
-   never raise, so the abort/fault fixups never involve a branch. *)
-and region = {
-  r_entry : int;
-  r_n : int;                   (* instructions retired per full pass *)
-  r_spans : (int * int) array; (* constituent-block (addr, bytes) *)
-  r_run : unit -> unit;        (* one pass, icache probes included *)
-  r_fast : unit -> unit;       (* one pass, probes elided *)
-  r_addrs : int array;         (* region insn index -> code address *)
-}
-
-let create ?(predecode = true) ?(blocks = true) ?(regions = false)
-    ?(telemetry = Telemetry.disabled) ?(trace = Trace.disabled) (cfg : Mconfig.t) =
-  let mem = Mem.create ~big_endian:false ~size:cfg.mem_bytes () in
-  Alpha_runtime.install mem;
-  let pdc = Decode_cache.create ~tel:telemetry ~trace ~name:"alpha.pdc" ~mem_bytes:cfg.mem_bytes () in
-  let bc = Block_cache.create ~tel:telemetry ~trace ~name:"alpha.bc" ~mem_bytes:cfg.mem_bytes
-      ~len_bytes:(fun b -> 4 * b.n) () in
-  let rc = Region_cache.create ~tel:telemetry ~name:"alpha.rc" ~mem_bytes:cfg.mem_bytes
-      ~spans:(fun r -> r.r_spans) () in
-  ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-  ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-  (* A dropped region must abort a running pass even when the
-     overwritten constituent block is no longer bc-resident (so the
-     Block_cache watcher above dropped nothing): raise bc's dirty flag
-     unconditionally and let the shared store closures raise Retired. *)
-  if regions then
-    ignore
-      (Mem.add_write_watcher mem (fun addr len ->
-           if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-        : Mem.watcher);
-  {
-    mem;
-    pdc;
-    predecode;
-    bc;
-    blocks;
-    rc;
-    regions;
-    probe = Sim_probe.create ~trace telemetry ~port:"alpha" ~predecode ~blocks ~regions;
-    tr = trace;
-    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.imiss_penalty;
-    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.dmiss_penalty;
-    cfg;
-    regs = Array.make 32 0L;
-    fregs = Array.make 32 0L;
-    pc = 0;
-    nextpc = 0;
-    blk_i = 0;
-    cycles = 0;
-    insns = 0;
-    stack_top = cfg.mem_bytes - 512;
-  }
+type t = (insn, arch) machine
 
 (* register numbers come out of [Alpha_asm.decode] masked to 5 bits *)
-let[@inline] get_reg m r = if r = 31 then 0L else Array.unsafe_get m.regs r
-let[@inline] set_reg m r v = if r <> 31 then Array.unsafe_set m.regs r v
+let[@inline] get_reg st r = if r = 31 then 0L else Array.unsafe_get st.regs r
+let[@inline] set_reg st r v = if r <> 31 then Array.unsafe_set st.regs r v
 
-let get_f m f = if f = 31 then 0L else m.fregs.(f)
-let set_f m f v = if f <> 31 then m.fregs.(f) <- v
+let get_f st f = if f = 31 then 0L else st.fregs.(f)
+let set_f st f v = if f <> 31 then st.fregs.(f) <- v
 
-let fval m f = Int64.float_of_bits (get_f m f)
-let set_fval m f v = set_f m f (Int64.bits_of_float v)
+let fval st f = Int64.float_of_bits (get_f st f)
+let set_fval st f v = set_f st f (Int64.bits_of_float v)
 
 (* round a double result to single precision (S-format ops) *)
 let single v = Int32.float_of_bits (Int32.bits_of_float v)
@@ -129,7 +43,7 @@ let single v = Int32.float_of_bits (Int32.bits_of_float v)
 let sext32_64 (v : int64) : int64 =
   Int64.shift_right (Int64.shift_left v 32) 32
 
-let lit_val m = function A.R r -> get_reg m r | A.L v -> Int64.of_int v
+let lit_val st = function A.R r -> get_reg st r | A.L v -> Int64.of_int v
 
 let addr_of (v : int64) = Int64.to_int (Int64.logand v 0x7FFFFFFFL)
 
@@ -155,93 +69,96 @@ let fetch m pc =
     if m.predecode then Decode_cache.set m.pdc pc insn;
     insn
 
-let[@inline] branch m pc d taken = if taken then m.nextpc <- pc + 4 + (4 * d)
+let[@inline] branch m pc d taken = if taken then m.btarget <- pc + 4 + (4 * d)
 
 (* The caller is responsible for the icache timing access on [m.pc]
-   (see [run_go]/[step]): doing it in the small run loop rather than in
-   this large function keeps its register pressure out of every arm. *)
-let step_inner m pc =
+   (the engine's [run_go]/[step]): doing it in the small run loop rather
+   than in this large function keeps its register pressure out of every
+   arm. *)
+let step_inner (m : t) =
+  let pc = m.pc in
+  let st = m.arch in
   m.insns <- m.insns + 1;
   let insn = fetch m pc in
-  m.nextpc <- pc + 4;
+  m.btarget <- pc + 4;
   (match insn with
-  | A.Lda (ra, rb, d) -> set_reg m ra (Int64.add (get_reg m rb) (Int64.of_int d))
+  | A.Lda (ra, rb, d) -> set_reg st ra (Int64.add (get_reg st rb) (Int64.of_int d))
   | A.Ldah (ra, rb, d) ->
-    set_reg m ra (Int64.add (get_reg m rb) (Int64.of_int (d * 65536)))
+    set_reg st ra (Int64.add (get_reg st rb) (Int64.of_int (d * 65536)))
   | A.Ldl (ra, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     daccess m a;
-    set_reg m ra (Int64.of_int (Int32.to_int (Int32.of_int (Mem.read_u32 m.mem a))))
+    set_reg st ra (Int64.of_int (Int32.to_int (Int32.of_int (Mem.read_u32 m.mem a))))
   | A.Ldq (ra, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     daccess m a;
-    set_reg m ra (Mem.read_u64 m.mem a)
+    set_reg st ra (Mem.read_u64 m.mem a)
   | A.Ldq_u (ra, rb, d) ->
-    let a = (addr_of (get_reg m rb) + d) land lnot 7 in
+    let a = (addr_of (get_reg st rb) + d) land lnot 7 in
     daccess m a;
-    set_reg m ra (Mem.read_u64 m.mem a)
+    set_reg st ra (Mem.read_u64 m.mem a)
   | A.Stl (ra, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     waccess m a;
-    Mem.write_u32 m.mem a (Int64.to_int (Int64.logand (get_reg m ra) 0xFFFFFFFFL))
+    Mem.write_u32 m.mem a (Int64.to_int (Int64.logand (get_reg st ra) 0xFFFFFFFFL))
   | A.Stq (ra, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     waccess m a;
-    Mem.write_u64 m.mem a (get_reg m ra)
+    Mem.write_u64 m.mem a (get_reg st ra)
   | A.Stq_u (ra, rb, d) ->
-    let a = (addr_of (get_reg m rb) + d) land lnot 7 in
+    let a = (addr_of (get_reg st rb) + d) land lnot 7 in
     waccess m a;
-    Mem.write_u64 m.mem a (get_reg m ra)
+    Mem.write_u64 m.mem a (get_reg st ra)
   | A.Lds (fa, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     daccess m a;
     let bits32 = Mem.read_u32 m.mem a in
-    set_fval m fa (Int32.float_of_bits (Int32.of_int bits32))
+    set_fval st fa (Int32.float_of_bits (Int32.of_int bits32))
   | A.Ldt (fa, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     daccess m a;
-    set_f m fa (Mem.read_u64 m.mem a)
+    set_f st fa (Mem.read_u64 m.mem a)
   | A.Sts (fa, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     waccess m a;
     Mem.write_u32 m.mem a
-      (Int32.to_int (Int32.bits_of_float (fval m fa)) land 0xFFFFFFFF)
+      (Int32.to_int (Int32.bits_of_float (fval st fa)) land 0xFFFFFFFF)
   | A.Stt (fa, rb, d) ->
-    let a = addr_of (get_reg m rb) + d in
+    let a = addr_of (get_reg st rb) + d in
     waccess m a;
-    Mem.write_u64 m.mem a (get_f m fa)
+    Mem.write_u64 m.mem a (get_f st fa)
   | A.Br (ra, d) ->
-    set_reg m ra (Int64.of_int (pc + 4));
-    m.nextpc <- pc + 4 + (4 * d)
+    set_reg st ra (Int64.of_int (pc + 4));
+    m.btarget <- pc + 4 + (4 * d)
   | A.Bsr (ra, d) ->
-    set_reg m ra (Int64.of_int (pc + 4));
-    m.nextpc <- pc + 4 + (4 * d)
-  | A.Beq (ra, d) -> branch m pc d (get_reg m ra = 0L)
-  | A.Bne (ra, d) -> branch m pc d (get_reg m ra <> 0L)
-  | A.Blt (ra, d) -> branch m pc d (Int64.compare (get_reg m ra) 0L < 0)
-  | A.Ble (ra, d) -> branch m pc d (Int64.compare (get_reg m ra) 0L <= 0)
-  | A.Bgt (ra, d) -> branch m pc d (Int64.compare (get_reg m ra) 0L > 0)
-  | A.Bge (ra, d) -> branch m pc d (Int64.compare (get_reg m ra) 0L >= 0)
-  | A.Fbeq (fa, d) -> branch m pc d (fval m fa = 0.0)
-  | A.Fbne (fa, d) -> branch m pc d (fval m fa <> 0.0)
+    set_reg st ra (Int64.of_int (pc + 4));
+    m.btarget <- pc + 4 + (4 * d)
+  | A.Beq (ra, d) -> branch m pc d (get_reg st ra = 0L)
+  | A.Bne (ra, d) -> branch m pc d (get_reg st ra <> 0L)
+  | A.Blt (ra, d) -> branch m pc d (Int64.compare (get_reg st ra) 0L < 0)
+  | A.Ble (ra, d) -> branch m pc d (Int64.compare (get_reg st ra) 0L <= 0)
+  | A.Bgt (ra, d) -> branch m pc d (Int64.compare (get_reg st ra) 0L > 0)
+  | A.Bge (ra, d) -> branch m pc d (Int64.compare (get_reg st ra) 0L >= 0)
+  | A.Fbeq (fa, d) -> branch m pc d (fval st fa = 0.0)
+  | A.Fbne (fa, d) -> branch m pc d (fval st fa <> 0.0)
   | A.Jmp (ra, rb) | A.Jsr (ra, rb) | A.Retj (ra, rb) ->
-    let t = addr_of (get_reg m rb) land lnot 3 in
-    set_reg m ra (Int64.of_int (pc + 4));
-    m.nextpc <- t
+    let t = addr_of (get_reg st rb) land lnot 3 in
+    set_reg st ra (Int64.of_int (pc + 4));
+    m.btarget <- t
   | A.Intop (o, ra, rb, rc) -> (
-    let x = get_reg m ra and y = lit_val m rb in
+    let x = get_reg st ra and y = lit_val st rb in
     let shamt = Int64.to_int (Int64.logand y 63L) in
     match o with
-    | A.Addq -> set_reg m rc (Int64.add x y)
-    | A.Subq -> set_reg m rc (Int64.sub x y)
-    | A.Addl -> set_reg m rc (sext32_64 (Int64.add x y))
-    | A.Subl -> set_reg m rc (sext32_64 (Int64.sub x y))
+    | A.Addq -> set_reg st rc (Int64.add x y)
+    | A.Subq -> set_reg st rc (Int64.sub x y)
+    | A.Addl -> set_reg st rc (sext32_64 (Int64.add x y))
+    | A.Subl -> set_reg st rc (sext32_64 (Int64.sub x y))
     | A.Mull ->
       m.cycles <- m.cycles + 7;
-      set_reg m rc (sext32_64 (Int64.mul x y))
+      set_reg st rc (sext32_64 (Int64.mul x y))
     | A.Mulq ->
       m.cycles <- m.cycles + 11;
-      set_reg m rc (Int64.mul x y)
+      set_reg st rc (Int64.mul x y)
     | A.Umulh ->
       m.cycles <- m.cycles + 11;
       (* high 64 bits of the unsigned 128-bit product *)
@@ -256,185 +173,183 @@ let step_inner m pc =
       let c1 = if Int64.unsigned_compare s1 lh < 0 then 0x100000000L else 0L in
       let s2 = Int64.add s1 (Int64.shift_right_logical ll 32) in
       let c2 = if Int64.unsigned_compare s2 s1 < 0 then 0x100000000L else 0L in
-      set_reg m rc
+      set_reg st rc
         (Int64.add hh
            (Int64.add (Int64.shift_right_logical s2 32) (Int64.add c1 c2)))
-    | A.Cmpeq -> set_reg m rc (bool64 (Int64.equal x y))
-    | A.Cmplt -> set_reg m rc (bool64 (Int64.compare x y < 0))
-    | A.Cmple -> set_reg m rc (bool64 (Int64.compare x y <= 0))
-    | A.Cmpult -> set_reg m rc (bool64 (Int64.unsigned_compare x y < 0))
-    | A.Cmpule -> set_reg m rc (bool64 (Int64.unsigned_compare x y <= 0))
-    | A.And -> set_reg m rc (Int64.logand x y)
-    | A.Bic -> set_reg m rc (Int64.logand x (Int64.lognot y))
-    | A.Bis -> set_reg m rc (Int64.logor x y)
-    | A.Ornot -> set_reg m rc (Int64.logor x (Int64.lognot y))
-    | A.Xor -> set_reg m rc (Int64.logxor x y)
-    | A.Eqv -> set_reg m rc (Int64.lognot (Int64.logxor x y))
-    | A.Cmoveq -> if x = 0L then set_reg m rc y
-    | A.Cmovne -> if x <> 0L then set_reg m rc y
-    | A.Cmovlt -> if Int64.compare x 0L < 0 then set_reg m rc y
-    | A.Cmovge -> if Int64.compare x 0L >= 0 then set_reg m rc y
-    | A.Sll -> set_reg m rc (Int64.shift_left x shamt)
-    | A.Srl -> set_reg m rc (Int64.shift_right_logical x shamt)
-    | A.Sra -> set_reg m rc (Int64.shift_right x shamt)
+    | A.Cmpeq -> set_reg st rc (bool64 (Int64.equal x y))
+    | A.Cmplt -> set_reg st rc (bool64 (Int64.compare x y < 0))
+    | A.Cmple -> set_reg st rc (bool64 (Int64.compare x y <= 0))
+    | A.Cmpult -> set_reg st rc (bool64 (Int64.unsigned_compare x y < 0))
+    | A.Cmpule -> set_reg st rc (bool64 (Int64.unsigned_compare x y <= 0))
+    | A.And -> set_reg st rc (Int64.logand x y)
+    | A.Bic -> set_reg st rc (Int64.logand x (Int64.lognot y))
+    | A.Bis -> set_reg st rc (Int64.logor x y)
+    | A.Ornot -> set_reg st rc (Int64.logor x (Int64.lognot y))
+    | A.Xor -> set_reg st rc (Int64.logxor x y)
+    | A.Eqv -> set_reg st rc (Int64.lognot (Int64.logxor x y))
+    | A.Cmoveq -> if x = 0L then set_reg st rc y
+    | A.Cmovne -> if x <> 0L then set_reg st rc y
+    | A.Cmovlt -> if Int64.compare x 0L < 0 then set_reg st rc y
+    | A.Cmovge -> if Int64.compare x 0L >= 0 then set_reg st rc y
+    | A.Sll -> set_reg st rc (Int64.shift_left x shamt)
+    | A.Srl -> set_reg st rc (Int64.shift_right_logical x shamt)
+    | A.Sra -> set_reg st rc (Int64.shift_right x shamt)
     | A.Extbl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.logand (Int64.shift_right_logical x sh) 0xFFL)
+      set_reg st rc (Int64.logand (Int64.shift_right_logical x sh) 0xFFL)
     | A.Extwl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.logand (Int64.shift_right_logical x sh) 0xFFFFL)
+      set_reg st rc (Int64.logand (Int64.shift_right_logical x sh) 0xFFFFL)
     | A.Insbl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.shift_left (Int64.logand x 0xFFL) sh)
+      set_reg st rc (Int64.shift_left (Int64.logand x 0xFFL) sh)
     | A.Inswl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.shift_left (Int64.logand x 0xFFFFL) sh)
+      set_reg st rc (Int64.shift_left (Int64.logand x 0xFFFFL) sh)
     | A.Mskbl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.logand x (Int64.lognot (Int64.shift_left 0xFFL sh)))
+      set_reg st rc (Int64.logand x (Int64.lognot (Int64.shift_left 0xFFL sh)))
     | A.Mskwl ->
       let sh = 8 * (Int64.to_int (Int64.logand y 7L)) in
-      set_reg m rc (Int64.logand x (Int64.lognot (Int64.shift_left 0xFFFFL sh))))
+      set_reg st rc (Int64.logand x (Int64.lognot (Int64.shift_left 0xFFFFL sh))))
   | A.Fpop (o, fa, fb, fc) -> (
-    let a () = fval m fa and b () = fval m fb in
+    let a () = fval st fa and b () = fval st fb in
     match o with
-    | A.Adds -> m.cycles <- m.cycles + 3; set_fval m fc (single (a () +. b ()))
-    | A.Addt -> m.cycles <- m.cycles + 3; set_fval m fc (a () +. b ())
-    | A.Subs -> m.cycles <- m.cycles + 3; set_fval m fc (single (a () -. b ()))
-    | A.Subt -> m.cycles <- m.cycles + 3; set_fval m fc (a () -. b ())
-    | A.Muls -> m.cycles <- m.cycles + 3; set_fval m fc (single (a () *. b ()))
-    | A.Mult -> m.cycles <- m.cycles + 3; set_fval m fc (a () *. b ())
-    | A.Divs -> m.cycles <- m.cycles + 15; set_fval m fc (single (a () /. b ()))
-    | A.Divt -> m.cycles <- m.cycles + 22; set_fval m fc (a () /. b ())
-    | A.Cmpteq -> set_fval m fc (if a () = b () then 2.0 else 0.0)
-    | A.Cmptlt -> set_fval m fc (if a () < b () then 2.0 else 0.0)
-    | A.Cmptle -> set_fval m fc (if a () <= b () then 2.0 else 0.0)
+    | A.Adds -> m.cycles <- m.cycles + 3; set_fval st fc (single (a () +. b ()))
+    | A.Addt -> m.cycles <- m.cycles + 3; set_fval st fc (a () +. b ())
+    | A.Subs -> m.cycles <- m.cycles + 3; set_fval st fc (single (a () -. b ()))
+    | A.Subt -> m.cycles <- m.cycles + 3; set_fval st fc (a () -. b ())
+    | A.Muls -> m.cycles <- m.cycles + 3; set_fval st fc (single (a () *. b ()))
+    | A.Mult -> m.cycles <- m.cycles + 3; set_fval st fc (a () *. b ())
+    | A.Divs -> m.cycles <- m.cycles + 15; set_fval st fc (single (a () /. b ()))
+    | A.Divt -> m.cycles <- m.cycles + 22; set_fval st fc (a () /. b ())
+    | A.Cmpteq -> set_fval st fc (if a () = b () then 2.0 else 0.0)
+    | A.Cmptlt -> set_fval st fc (if a () < b () then 2.0 else 0.0)
+    | A.Cmptle -> set_fval st fc (if a () <= b () then 2.0 else 0.0)
     | A.Cvtqs ->
       (* quadword integer (bits of fb) to single *)
-      set_fval m fc (single (Int64.to_float (get_f m fb)))
-    | A.Cvtqt -> set_fval m fc (Int64.to_float (get_f m fb))
-    | A.Cvttq -> set_f m fc (Int64.of_float (Float.trunc (b ())))
-    | A.Cvtts -> set_fval m fc (single (b ()))
+      set_fval st fc (single (Int64.to_float (get_f st fb)))
+    | A.Cvtqt -> set_fval st fc (Int64.to_float (get_f st fb))
+    | A.Cvttq -> set_f st fc (Int64.of_float (Float.trunc (b ())))
+    | A.Cvtts -> set_fval st fc (single (b ()))
     | A.Cpys ->
       (* copy sign of fa, rest of fb; cpys f,f,f is fmov *)
-      let sa = Int64.logand (get_f m fa) Int64.min_int in
-      let rest = Int64.logand (get_f m fb) Int64.max_int in
-      set_f m fc (Int64.logor sa rest)
+      let sa = Int64.logand (get_f st fa) Int64.min_int in
+      let rest = Int64.logand (get_f st fb) Int64.max_int in
+      set_f st fc (Int64.logor sa rest)
     | A.Cpysn ->
-      let sa = Int64.logand (Int64.lognot (get_f m fa)) Int64.min_int in
-      let rest = Int64.logand (get_f m fb) Int64.max_int in
-      set_f m fc (Int64.logor sa rest)
-    | A.Sqrts -> m.cycles <- m.cycles + 15; set_fval m fc (single (sqrt (b ())))
-    | A.Sqrtt -> m.cycles <- m.cycles + 30; set_fval m fc (sqrt (b ()))));
-  m.pc <- m.nextpc
+      let sa = Int64.logand (Int64.lognot (get_f st fa)) Int64.min_int in
+      let rest = Int64.logand (get_f st fb) Int64.max_int in
+      set_f st fc (Int64.logor sa rest)
+    | A.Sqrts -> m.cycles <- m.cycles + 15; set_fval st fc (single (sqrt (b ())))
+    | A.Sqrtt -> m.cycles <- m.cycles + 30; set_fval st fc (sqrt (b ()))));
+  m.pc <- m.btarget
 
 (* ------------------------------------------------------------------ *)
-(* Superblock translation (see {!Vmachine.Block_cache}): compile a
-   straight-line decoded run into one closure per instruction, executed
-   by [exec_chain] without per-instruction dispatch.  Each closure
-   replicates its [step_inner] arm exactly — same arithmetic, same
-   memory-access order, same cycle surcharges — so a block retires with
-   the same architectural state and timing as the interpreter.  Alpha
-   has no delay slots: a block is body instructions plus (optionally)
-   the control transfer itself, whose closure leaves the target in
-   [m.nextpc] for the block commit. *)
+(* Compiled actions for the superblock and region tiers of
+   {!Vmachine.Engine}.  Each closure replicates its [step_inner] arm
+   exactly — same arithmetic, same memory-access order, same cycle
+   surcharges.  Alpha has no delay slots: a block is body instructions
+   plus (optionally) the control transfer itself, whose closure leaves
+   the target in [m.btarget] for the block commit. *)
 
 (* Compiled action for one *body* (non-control) instruction; [None]
    for the control transfers compiled via [term_of].  Store closures
    test the block cache's dirty flag after writing and abort with
    [Block_cache.Retired]. *)
-let act_of m (insn : A.t) : (unit -> unit) option =
+let act_of (m : t) (insn : insn) : (unit -> unit) option =
+  let st = m.arch in
   match insn with
   | A.Lda (ra, rb, d) ->
-    Some (fun () -> set_reg m ra (Int64.add (get_reg m rb) (Int64.of_int d)))
+    Some (fun () -> set_reg st ra (Int64.add (get_reg st rb) (Int64.of_int d)))
   | A.Ldah (ra, rb, d) ->
     let dd = d * 65536 in
-    Some (fun () -> set_reg m ra (Int64.add (get_reg m rb) (Int64.of_int dd)))
+    Some (fun () -> set_reg st ra (Int64.add (get_reg st rb) (Int64.of_int dd)))
   | A.Ldl (ra, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         daccess m a;
-        set_reg m ra (Int64.of_int (Int32.to_int (Int32.of_int (Mem.read_u32 m.mem a)))))
+        set_reg st ra (Int64.of_int (Int32.to_int (Int32.of_int (Mem.read_u32 m.mem a)))))
   | A.Ldq (ra, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         daccess m a;
-        set_reg m ra (Mem.read_u64 m.mem a))
+        set_reg st ra (Mem.read_u64 m.mem a))
   | A.Ldq_u (ra, rb, d) ->
     Some
       (fun () ->
-        let a = (addr_of (get_reg m rb) + d) land lnot 7 in
+        let a = (addr_of (get_reg st rb) + d) land lnot 7 in
         daccess m a;
-        set_reg m ra (Mem.read_u64 m.mem a))
+        set_reg st ra (Mem.read_u64 m.mem a))
   | A.Stl (ra, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         waccess m a;
-        Mem.write_u32 m.mem a (Int64.to_int (Int64.logand (get_reg m ra) 0xFFFFFFFFL));
+        Mem.write_u32 m.mem a (Int64.to_int (Int64.logand (get_reg st ra) 0xFFFFFFFFL));
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Stq (ra, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         waccess m a;
-        Mem.write_u64 m.mem a (get_reg m ra);
+        Mem.write_u64 m.mem a (get_reg st ra);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Stq_u (ra, rb, d) ->
     Some
       (fun () ->
-        let a = (addr_of (get_reg m rb) + d) land lnot 7 in
+        let a = (addr_of (get_reg st rb) + d) land lnot 7 in
         waccess m a;
-        Mem.write_u64 m.mem a (get_reg m ra);
+        Mem.write_u64 m.mem a (get_reg st ra);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Lds (fa, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         daccess m a;
         let bits32 = Mem.read_u32 m.mem a in
-        set_fval m fa (Int32.float_of_bits (Int32.of_int bits32)))
+        set_fval st fa (Int32.float_of_bits (Int32.of_int bits32)))
   | A.Ldt (fa, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         daccess m a;
-        set_f m fa (Mem.read_u64 m.mem a))
+        set_f st fa (Mem.read_u64 m.mem a))
   | A.Sts (fa, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         waccess m a;
-        Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval m fa)) land 0xFFFFFFFF);
+        Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval st fa)) land 0xFFFFFFFF);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Stt (fa, rb, d) ->
     Some
       (fun () ->
-        let a = addr_of (get_reg m rb) + d in
+        let a = addr_of (get_reg st rb) + d in
         waccess m a;
-        Mem.write_u64 m.mem a (get_f m fa);
+        Mem.write_u64 m.mem a (get_f st fa);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Intop (o, ra, rb, rc) ->
     Some
       (match o with
-      | A.Addq -> fun () -> set_reg m rc (Int64.add (get_reg m ra) (lit_val m rb))
-      | A.Subq -> fun () -> set_reg m rc (Int64.sub (get_reg m ra) (lit_val m rb))
-      | A.Addl -> fun () -> set_reg m rc (sext32_64 (Int64.add (get_reg m ra) (lit_val m rb)))
-      | A.Subl -> fun () -> set_reg m rc (sext32_64 (Int64.sub (get_reg m ra) (lit_val m rb)))
+      | A.Addq -> fun () -> set_reg st rc (Int64.add (get_reg st ra) (lit_val st rb))
+      | A.Subq -> fun () -> set_reg st rc (Int64.sub (get_reg st ra) (lit_val st rb))
+      | A.Addl -> fun () -> set_reg st rc (sext32_64 (Int64.add (get_reg st ra) (lit_val st rb)))
+      | A.Subl -> fun () -> set_reg st rc (sext32_64 (Int64.sub (get_reg st ra) (lit_val st rb)))
       | A.Mull ->
         fun () ->
           m.cycles <- m.cycles + 7;
-          set_reg m rc (sext32_64 (Int64.mul (get_reg m ra) (lit_val m rb)))
+          set_reg st rc (sext32_64 (Int64.mul (get_reg st ra) (lit_val st rb)))
       | A.Mulq ->
         fun () ->
           m.cycles <- m.cycles + 11;
-          set_reg m rc (Int64.mul (get_reg m ra) (lit_val m rb))
+          set_reg st rc (Int64.mul (get_reg st ra) (lit_val st rb))
       | A.Umulh ->
         fun () ->
           m.cycles <- m.cycles + 11;
-          let x = get_reg m ra and y = lit_val m rb in
+          let x = get_reg st ra and y = lit_val st rb in
           let lo_mask = 0xFFFFFFFFL in
           let xl = Int64.logand x lo_mask and xh = Int64.shift_right_logical x 32 in
           let yl = Int64.logand y lo_mask and yh = Int64.shift_right_logical y 32 in
@@ -446,745 +361,214 @@ let act_of m (insn : A.t) : (unit -> unit) option =
           let c1 = if Int64.unsigned_compare s1 lh < 0 then 0x100000000L else 0L in
           let s2 = Int64.add s1 (Int64.shift_right_logical ll 32) in
           let c2 = if Int64.unsigned_compare s2 s1 < 0 then 0x100000000L else 0L in
-          set_reg m rc
+          set_reg st rc
             (Int64.add hh (Int64.add (Int64.shift_right_logical s2 32) (Int64.add c1 c2)))
-      | A.Cmpeq -> fun () -> set_reg m rc (bool64 (Int64.equal (get_reg m ra) (lit_val m rb)))
+      | A.Cmpeq -> fun () -> set_reg st rc (bool64 (Int64.equal (get_reg st ra) (lit_val st rb)))
       | A.Cmplt ->
-        fun () -> set_reg m rc (bool64 (Int64.compare (get_reg m ra) (lit_val m rb) < 0))
+        fun () -> set_reg st rc (bool64 (Int64.compare (get_reg st ra) (lit_val st rb) < 0))
       | A.Cmple ->
-        fun () -> set_reg m rc (bool64 (Int64.compare (get_reg m ra) (lit_val m rb) <= 0))
+        fun () -> set_reg st rc (bool64 (Int64.compare (get_reg st ra) (lit_val st rb) <= 0))
       | A.Cmpult ->
-        fun () -> set_reg m rc (bool64 (Int64.unsigned_compare (get_reg m ra) (lit_val m rb) < 0))
+        fun () -> set_reg st rc (bool64 (Int64.unsigned_compare (get_reg st ra) (lit_val st rb) < 0))
       | A.Cmpule ->
         fun () ->
-          set_reg m rc (bool64 (Int64.unsigned_compare (get_reg m ra) (lit_val m rb) <= 0))
-      | A.And -> fun () -> set_reg m rc (Int64.logand (get_reg m ra) (lit_val m rb))
-      | A.Bic -> fun () -> set_reg m rc (Int64.logand (get_reg m ra) (Int64.lognot (lit_val m rb)))
-      | A.Bis -> fun () -> set_reg m rc (Int64.logor (get_reg m ra) (lit_val m rb))
+          set_reg st rc (bool64 (Int64.unsigned_compare (get_reg st ra) (lit_val st rb) <= 0))
+      | A.And -> fun () -> set_reg st rc (Int64.logand (get_reg st ra) (lit_val st rb))
+      | A.Bic -> fun () -> set_reg st rc (Int64.logand (get_reg st ra) (Int64.lognot (lit_val st rb)))
+      | A.Bis -> fun () -> set_reg st rc (Int64.logor (get_reg st ra) (lit_val st rb))
       | A.Ornot ->
-        fun () -> set_reg m rc (Int64.logor (get_reg m ra) (Int64.lognot (lit_val m rb)))
-      | A.Xor -> fun () -> set_reg m rc (Int64.logxor (get_reg m ra) (lit_val m rb))
-      | A.Eqv -> fun () -> set_reg m rc (Int64.lognot (Int64.logxor (get_reg m ra) (lit_val m rb)))
-      | A.Cmoveq -> fun () -> if get_reg m ra = 0L then set_reg m rc (lit_val m rb)
-      | A.Cmovne -> fun () -> if get_reg m ra <> 0L then set_reg m rc (lit_val m rb)
-      | A.Cmovlt -> fun () -> if Int64.compare (get_reg m ra) 0L < 0 then set_reg m rc (lit_val m rb)
+        fun () -> set_reg st rc (Int64.logor (get_reg st ra) (Int64.lognot (lit_val st rb)))
+      | A.Xor -> fun () -> set_reg st rc (Int64.logxor (get_reg st ra) (lit_val st rb))
+      | A.Eqv -> fun () -> set_reg st rc (Int64.lognot (Int64.logxor (get_reg st ra) (lit_val st rb)))
+      | A.Cmoveq -> fun () -> if get_reg st ra = 0L then set_reg st rc (lit_val st rb)
+      | A.Cmovne -> fun () -> if get_reg st ra <> 0L then set_reg st rc (lit_val st rb)
+      | A.Cmovlt -> fun () -> if Int64.compare (get_reg st ra) 0L < 0 then set_reg st rc (lit_val st rb)
       | A.Cmovge ->
-        fun () -> if Int64.compare (get_reg m ra) 0L >= 0 then set_reg m rc (lit_val m rb)
+        fun () -> if Int64.compare (get_reg st ra) 0L >= 0 then set_reg st rc (lit_val st rb)
       | A.Sll ->
         fun () ->
-          let shamt = Int64.to_int (Int64.logand (lit_val m rb) 63L) in
-          set_reg m rc (Int64.shift_left (get_reg m ra) shamt)
+          let shamt = Int64.to_int (Int64.logand (lit_val st rb) 63L) in
+          set_reg st rc (Int64.shift_left (get_reg st ra) shamt)
       | A.Srl ->
         fun () ->
-          let shamt = Int64.to_int (Int64.logand (lit_val m rb) 63L) in
-          set_reg m rc (Int64.shift_right_logical (get_reg m ra) shamt)
+          let shamt = Int64.to_int (Int64.logand (lit_val st rb) 63L) in
+          set_reg st rc (Int64.shift_right_logical (get_reg st ra) shamt)
       | A.Sra ->
         fun () ->
-          let shamt = Int64.to_int (Int64.logand (lit_val m rb) 63L) in
-          set_reg m rc (Int64.shift_right (get_reg m ra) shamt)
+          let shamt = Int64.to_int (Int64.logand (lit_val st rb) 63L) in
+          set_reg st rc (Int64.shift_right (get_reg st ra) shamt)
       | A.Extbl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.logand (Int64.shift_right_logical (get_reg m ra) sh) 0xFFL)
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.logand (Int64.shift_right_logical (get_reg st ra) sh) 0xFFL)
       | A.Extwl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.logand (Int64.shift_right_logical (get_reg m ra) sh) 0xFFFFL)
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.logand (Int64.shift_right_logical (get_reg st ra) sh) 0xFFFFL)
       | A.Insbl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.shift_left (Int64.logand (get_reg m ra) 0xFFL) sh)
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.shift_left (Int64.logand (get_reg st ra) 0xFFL) sh)
       | A.Inswl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.shift_left (Int64.logand (get_reg m ra) 0xFFFFL) sh)
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.shift_left (Int64.logand (get_reg st ra) 0xFFFFL) sh)
       | A.Mskbl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.logand (get_reg m ra) (Int64.lognot (Int64.shift_left 0xFFL sh)))
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.logand (get_reg st ra) (Int64.lognot (Int64.shift_left 0xFFL sh)))
       | A.Mskwl ->
         fun () ->
-          let sh = 8 * Int64.to_int (Int64.logand (lit_val m rb) 7L) in
-          set_reg m rc (Int64.logand (get_reg m ra) (Int64.lognot (Int64.shift_left 0xFFFFL sh))))
+          let sh = 8 * Int64.to_int (Int64.logand (lit_val st rb) 7L) in
+          set_reg st rc (Int64.logand (get_reg st ra) (Int64.lognot (Int64.shift_left 0xFFFFL sh))))
   | A.Fpop (o, fa, fb, fc) ->
     Some
       (match o with
       | A.Adds ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (single (fval m fa +. fval m fb))
+          set_fval st fc (single (fval st fa +. fval st fb))
       | A.Addt ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (fval m fa +. fval m fb)
+          set_fval st fc (fval st fa +. fval st fb)
       | A.Subs ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (single (fval m fa -. fval m fb))
+          set_fval st fc (single (fval st fa -. fval st fb))
       | A.Subt ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (fval m fa -. fval m fb)
+          set_fval st fc (fval st fa -. fval st fb)
       | A.Muls ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (single (fval m fa *. fval m fb))
+          set_fval st fc (single (fval st fa *. fval st fb))
       | A.Mult ->
         fun () ->
           m.cycles <- m.cycles + 3;
-          set_fval m fc (fval m fa *. fval m fb)
+          set_fval st fc (fval st fa *. fval st fb)
       | A.Divs ->
         fun () ->
           m.cycles <- m.cycles + 15;
-          set_fval m fc (single (fval m fa /. fval m fb))
+          set_fval st fc (single (fval st fa /. fval st fb))
       | A.Divt ->
         fun () ->
           m.cycles <- m.cycles + 22;
-          set_fval m fc (fval m fa /. fval m fb)
-      | A.Cmpteq -> fun () -> set_fval m fc (if fval m fa = fval m fb then 2.0 else 0.0)
-      | A.Cmptlt -> fun () -> set_fval m fc (if fval m fa < fval m fb then 2.0 else 0.0)
-      | A.Cmptle -> fun () -> set_fval m fc (if fval m fa <= fval m fb then 2.0 else 0.0)
-      | A.Cvtqs -> fun () -> set_fval m fc (single (Int64.to_float (get_f m fb)))
-      | A.Cvtqt -> fun () -> set_fval m fc (Int64.to_float (get_f m fb))
-      | A.Cvttq -> fun () -> set_f m fc (Int64.of_float (Float.trunc (fval m fb)))
-      | A.Cvtts -> fun () -> set_fval m fc (single (fval m fb))
+          set_fval st fc (fval st fa /. fval st fb)
+      | A.Cmpteq -> fun () -> set_fval st fc (if fval st fa = fval st fb then 2.0 else 0.0)
+      | A.Cmptlt -> fun () -> set_fval st fc (if fval st fa < fval st fb then 2.0 else 0.0)
+      | A.Cmptle -> fun () -> set_fval st fc (if fval st fa <= fval st fb then 2.0 else 0.0)
+      | A.Cvtqs -> fun () -> set_fval st fc (single (Int64.to_float (get_f st fb)))
+      | A.Cvtqt -> fun () -> set_fval st fc (Int64.to_float (get_f st fb))
+      | A.Cvttq -> fun () -> set_f st fc (Int64.of_float (Float.trunc (fval st fb)))
+      | A.Cvtts -> fun () -> set_fval st fc (single (fval st fb))
       | A.Cpys ->
         fun () ->
-          let sa = Int64.logand (get_f m fa) Int64.min_int in
-          let rest = Int64.logand (get_f m fb) Int64.max_int in
-          set_f m fc (Int64.logor sa rest)
+          let sa = Int64.logand (get_f st fa) Int64.min_int in
+          let rest = Int64.logand (get_f st fb) Int64.max_int in
+          set_f st fc (Int64.logor sa rest)
       | A.Cpysn ->
         fun () ->
-          let sa = Int64.logand (Int64.lognot (get_f m fa)) Int64.min_int in
-          let rest = Int64.logand (get_f m fb) Int64.max_int in
-          set_f m fc (Int64.logor sa rest)
+          let sa = Int64.logand (Int64.lognot (get_f st fa)) Int64.min_int in
+          let rest = Int64.logand (get_f st fb) Int64.max_int in
+          set_f st fc (Int64.logor sa rest)
       | A.Sqrts ->
         fun () ->
           m.cycles <- m.cycles + 15;
-          set_fval m fc (single (sqrt (fval m fb)))
+          set_fval st fc (single (sqrt (fval st fb)))
       | A.Sqrtt ->
         fun () ->
           m.cycles <- m.cycles + 30;
-          set_fval m fc (sqrt (fval m fb)))
+          set_fval st fc (sqrt (fval st fb)))
   | A.Br _ | A.Bsr _ | A.Beq _ | A.Bne _ | A.Blt _ | A.Ble _ | A.Bgt _ | A.Bge _ | A.Fbeq _
   | A.Fbne _ | A.Jmp _ | A.Jsr _ | A.Retj _ ->
     None
 
 (* Compiled closure for a block *terminator* at address [pc]: leaves
-   the control-transfer target in [m.nextpc] (fallthrough [pc + 4] for
-   an untaken branch) — exactly the interpreter's nextpc discipline;
-   the block commit moves nextpc into pc. *)
-let term_of m pc (insn : A.t) : (unit -> unit) option =
+   the control-transfer target in [m.btarget] (fallthrough [pc + 4] for
+   an untaken branch) — exactly the interpreter's btarget discipline;
+   the block commit moves btarget into pc. *)
+let term_of (m : t) pc (insn : insn) : (unit -> unit) option =
+  let st = m.arch in
   let ft = pc + 4 in
   match insn with
   | A.Br (ra, d) | A.Bsr (ra, d) ->
     let tk = pc + 4 + (4 * d) in
     Some
       (fun () ->
-        set_reg m ra (Int64.of_int ft);
-        m.nextpc <- tk)
+        set_reg st ra (Int64.of_int ft);
+        m.btarget <- tk)
   | A.Beq (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if get_reg m ra = 0L then tk else ft))
+    Some (fun () -> m.btarget <- (if get_reg st ra = 0L then tk else ft))
   | A.Bne (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if get_reg m ra <> 0L then tk else ft))
+    Some (fun () -> m.btarget <- (if get_reg st ra <> 0L then tk else ft))
   | A.Blt (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if Int64.compare (get_reg m ra) 0L < 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if Int64.compare (get_reg st ra) 0L < 0 then tk else ft))
   | A.Ble (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if Int64.compare (get_reg m ra) 0L <= 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if Int64.compare (get_reg st ra) 0L <= 0 then tk else ft))
   | A.Bgt (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if Int64.compare (get_reg m ra) 0L > 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if Int64.compare (get_reg st ra) 0L > 0 then tk else ft))
   | A.Bge (ra, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if Int64.compare (get_reg m ra) 0L >= 0 then tk else ft))
+    Some (fun () -> m.btarget <- (if Int64.compare (get_reg st ra) 0L >= 0 then tk else ft))
   | A.Fbeq (fa, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if fval m fa = 0.0 then tk else ft))
+    Some (fun () -> m.btarget <- (if fval st fa = 0.0 then tk else ft))
   | A.Fbne (fa, d) ->
     let tk = pc + 4 + (4 * d) in
-    Some (fun () -> m.nextpc <- (if fval m fa <> 0.0 then tk else ft))
+    Some (fun () -> m.btarget <- (if fval st fa <> 0.0 then tk else ft))
   | A.Jmp (ra, rb) | A.Jsr (ra, rb) | A.Retj (ra, rb) ->
     Some
       (fun () ->
-        let t = addr_of (get_reg m rb) land lnot 3 in
-        set_reg m ra (Int64.of_int ft);
-        m.nextpc <- t)
+        let t = addr_of (get_reg st rb) land lnot 3 in
+        set_reg st ra (Int64.of_int ft);
+        m.btarget <- t)
   | _ -> None
-
-(* instructions allowed before the terminator within the
-   [Block_cache.max_insns] cap *)
-let max_body = Block_cache.max_insns - 1
 
 (* Only closures for these instructions can raise: a memory fault from
    a load/store, or [Block_cache.Retired] from a store that invalidated
    a resident block ([Lda]/[Ldah] are pure address arithmetic).
    Everything else [act_of] compiles is pure OCaml arithmetic that
-   cannot raise, and Alpha terminators only write [m.nextpc], so the
+   cannot raise, and Alpha terminators only write [m.btarget], so the
    per-instruction [m.blk_i] bookkeeping is baked in at compile time
    for can-raise instructions alone and elided everywhere else. *)
-let act_raises (insn : A.t) : bool =
+let act_raises (insn : insn) : bool =
   match insn with
   | A.Ldl _ | A.Ldq _ | A.Stl _ | A.Stq _ | A.Lds _ | A.Ldt _ | A.Sts _ | A.Stt _ -> true
   | _ -> false
 
-(* Fuse a list of action closures into one, sequencing by direct calls
-   in chunks of four: one chunk-closure entry per four instructions
-   instead of a per-instruction array load and loop-counter update.
-   Exceptions propagate out of the fused closure unchanged. *)
-let rec seq (cs : (unit -> unit) list) : unit -> unit =
-  match cs with
-  | [] -> fun () -> ()
-  | [ a ] -> a
-  | [ a; b ] -> fun () -> a (); b ()
-  | [ a; b; c ] -> fun () -> a (); b (); c ()
-  | [ a; b; c; d ] -> fun () -> a (); b (); c (); d ()
-  | a :: b :: c :: d :: rest ->
-    let r = seq rest in
-    fun () -> a (); b (); c (); d (); r ()
+include Engine.Make (struct
+  type nonrec insn = insn
+  type nonrec arch = arch
 
-(* Scan the straight-line run entered at [entry]: body instructions up
-   to and including the first control transfer, a non-compilable word
-   (illegal, unmapped — left for the interpreter to trap on), or the
-   length cap.  Returns the per-instruction (can-raise, action) list
-   and whether it ends in a terminator; [None] if not even one
-   instruction compiles.  Shared by the superblock and region
-   compilers. *)
-let scan_run m entry =
-  let fetch_opt pc =
-    match fetch m pc with
-    | i -> Some i
-    | exception (Machine_error _ | Mem.Fault _) -> None
-  in
-  let body = ref [] and nbody = ref 0 in
-  let fin = ref None in
-  let stop = ref false in
-  let pc = ref entry in
-  while (not !stop) && !nbody < max_body do
-    match fetch_opt !pc with
-    | None -> stop := true
-    | Some insn -> (
-      match act_of m insn with
-      | Some a ->
-        body := (act_raises insn, a) :: !body;
-        incr nbody;
-        pc := !pc + 4
-      | None ->
-        stop := true;
-        fin := term_of m !pc insn)
-  done;
-  let tail, has_term = match !fin with Some t -> ([ (false, t) ], true) | None -> ([], false) in
-  match List.rev_append !body tail with
-  | [] -> None
-  | all -> Some (all, has_term)
+  let port = "alpha"
+  let big_endian = false
+  let delay = false
 
-(* Compile the straight-line run entered at [entry] into a superblock.
+  let init (cfg : Mconfig.t) mem =
+    Alpha_runtime.install mem;
+    { regs = Array.make 32 0L; fregs = Array.make 32 0L; stack_top = cfg.mem_bytes - 512 }
 
-   Timing is baked into the closures: the instruction that starts a new
-   icache line carries the registerized probe (a later same-line fetch
-   is a guaranteed hit — a block spans at most 256 consecutive bytes,
-   far below the icache size, so it cannot evict its own lines, and a
-   guaranteed hit is a no-op under bulk hit reconciliation).  Capturing
-   the tag array here is safe because [Cache.flush] clears it in
-   place. *)
-let compile_block m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  match scan_run m entry with
-  | None -> None
-  | Some (all, has_term) ->
-    let n = List.length all in
-    let wrap i (raises, act) =
-      let addr = entry + (4 * i) in
-      let line = addr lsr shift in
-      let boundary = i = 0 || line <> (addr - 4) lsr shift in
-      if boundary then begin
-        let idx = line land mask in
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-        else
-          fun () ->
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-      end
-      else if raises then
-        fun () ->
-          m.blk_i <- i;
-          act ()
-      else act
-    in
-    (* traced runs re-bind [wrap] so each closure records its issue
-       before acting (issue order = the interpreter's retire stream);
-       untraced compilation keeps the exact closures above *)
-    let wrap =
-      if not (Trace.is_enabled m.tr) then wrap
-      else
-        fun i ra ->
-          let f = wrap i ra in
-          let addr = entry + (4 * i) in
-          fun () ->
-            Trace.retire m.tr addr;
-            f ()
-    in
-    (* the commit is one more cannot-raise action fused onto the end:
-       if anything earlier raises, it never runs, and the fixup
-       handlers in [exec_chain] account the partial run instead *)
-    let commit =
-      if has_term then
-        fun () ->
-          m.insns <- m.insns + n;
-          m.pc <- m.nextpc
-      else begin
-        let ft = entry + (4 * n) in
-        fun () ->
-          m.insns <- m.insns + n;
-          m.nextpc <- ft;
-          m.pc <- ft
-      end
-    in
-    Some { entry; n; run = seq (List.mapi wrap all @ [ commit ]); has_term }
+  let fetch = fetch
+  let step_inner = step_inner
+  let act_of = act_of
+  let term_of = term_of
+  let act_raises = act_raises
+  let term_raises = false
 
-(* Execute [b] (precondition: [b.n <= fuel]), then chain directly into
-   the next resident block while fuel lasts.  Returns the remaining
-   fuel; the three exits (clean commit, [Retired] store-abort, fault)
-   leave exactly the state the interpreter would — see the MIPS twin of
-   this function for the case analysis (simpler here: no delay slots,
-   so the post-instruction pc is always the straight-line successor for
-   aborts, and terminators never fault or abort). *)
-let rec exec_chain m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else if m.pc = b.entry && b.n <= fuel then
-      (* self-loop fast path: a clean exit means no resident block was
-         invalidated, so [b] is certainly still cached for [entry] *)
-      exec_chain m b fuel
-    else (
-      match Block_cache.find m.bc m.pc with
-      | Some nb when nb.n <= fuel -> exec_chain m nb fuel
-      | _ -> fuel)
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    let a = b.entry + (4 * i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
+  let static_target tpc : insn -> int option = function
+    | A.Br (_, d) | A.Bsr (_, d) -> Some (tpc + 4 + (4 * d))
+    | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Tier-3 regions: the MIPS twin carries the full commentary; here the
-   branch scratch is [m.nextpc] (terminators write it for both arms, so
-   the guard compares it against the trace's next entry) and the
-   abort/fault fixups never involve a terminator — Alpha terminators
-   cannot raise. *)
-
-let compile_region m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  let rec collect pc first_len acc nblocks =
-    match scan_run m pc with
-    | None -> List.rev acc
-    | Some (all, has_term) ->
-      let n = List.length all in
-      let acc = (pc, all, has_term, n) :: acc in
-      let nblocks = nblocks + 1 in
-      let succ =
-        if has_term then Region_cache.dominant_succ m.rc pc
-        else Some (pc + (4 * n))
-      in
-      (match succ with
-      | Some s when s land 3 = 0 && s > 0 ->
-        if s = entry then begin
-          let fl = match first_len with None -> nblocks | Some f -> f in
-          if
-            nblocks + fl <= Region_cache.max_blocks
-            && nblocks < Region_cache.max_unroll * fl
-          then collect s (Some fl) acc nblocks
-          else List.rev acc
-        end
-        else if nblocks < Region_cache.max_blocks then collect s first_len acc nblocks
-        else List.rev acc
-      | _ -> List.rev acc)
-  in
-  match collect entry None [] 0 with
-  | [] | [ _ ] -> None (* a single block gains nothing over tier 2 *)
-  | blks ->
-    let blks = Array.of_list blks in
-    let nb = Array.length blks in
-    let r_n = Array.fold_left (fun a (_, _, _, n) -> a + n) 0 blks in
-    let spans = Array.map (fun (p, _, _, n) -> (p, 4 * n)) blks in
-    let addrs = Array.make r_n 0 in
-    let traced = Trace.is_enabled m.tr in
-    (* Unconditional direct branches (br, bsr) pin nextpc statically:
-       a guard matching the trace successor can never fire and is
-       omitted (see the MIPS twin for the rationale). *)
-    let static_jump_target p n =
-      let tpc = p + (4 * (n - 1)) in
-      match fetch m tpc with
-      | A.Br (_, d) | A.Bsr (_, d) -> Some (tpc + 4 + (4 * d))
-      | _ -> None
-      | exception (Machine_error _ | Mem.Fault _) -> None
-    in
-    let probed = ref [] and fastc = ref [] in
-    let push_insn i addr raises act boundary =
-      let line = addr lsr shift in
-      let idx = line land mask in
-      let pr =
-        if boundary then
-          if raises then
-            fun () ->
-              m.blk_i <- i;
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-          else
-            fun () ->
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-        else if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let fa =
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let pr, fa =
-        if not traced then (pr, fa)
-        else
-          ( (fun () -> Trace.retire m.tr addr; pr ()),
-            fun () -> Trace.retire m.tr addr; fa () )
-      in
-      probed := pr :: !probed;
-      fastc := fa :: !fastc
-    in
-    let k = ref 0 in
-    let prev_line = ref min_int in
-    Array.iteri
-      (fun bi (p, all, has_term, n) ->
-        List.iteri
-          (fun j (raises, act) ->
-            let i = !k in
-            let addr = p + (4 * j) in
-            addrs.(i) <- addr;
-            let line = addr lsr shift in
-            push_insn i addr raises act (line <> !prev_line);
-            prev_line := line;
-            incr k)
-          all;
-        if bi < nb - 1 && has_term then begin
-          let expected = (fun (p, _, _, _) -> p) blks.(bi + 1) in
-          match static_jump_target p n with
-          | Some t when t = expected -> () (* guard provably never fires *)
-          | _ ->
-            let kk = !k in
-            let g () =
-              if m.nextpc <> expected then raise (Region_cache.Side_exit kk)
-            in
-            probed := g :: !probed;
-            fastc := g :: !fastc
-        end)
-      blks;
-    let commit =
-      let p_last, _, last_term, n_last = blks.(nb - 1) in
-      if last_term then
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.pc <- m.nextpc
-      else begin
-        let ft = p_last + (4 * n_last) in
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.nextpc <- ft;
-          m.pc <- ft
-      end
-    in
-    let r_run = seq (List.rev (commit :: !probed)) in
-    (* fast-pass tail: deferred commit via [Loop_exit] (see the MIPS
-       twin for the full commentary) *)
-    let fast_tail =
-      let _, _, last_term, _ = blks.(nb - 1) in
-      if last_term then
-        (fun () ->
-          m.insns <- m.insns + r_n;
-          if m.nextpc <> entry then raise Region_cache.Loop_exit)
-      else commit
-    in
-    let lines =
-      List.sort_uniq compare (Array.to_list (Array.map (fun a -> a lsr shift) addrs))
-    in
-    let fast_ok =
-      List.length (List.sort_uniq compare (List.map (fun l -> l land mask) lines))
-      = List.length lines
-    in
-    let r_fast = if fast_ok then seq (List.rev (fast_tail :: !fastc)) else r_run in
-    Some { r_entry = entry; r_n; r_spans = spans; r_run; r_fast; r_addrs = addrs }
-
-(* latency-instrumented entry points: the stopwatch brackets the whole
-   scan/trace-follow + closure compile + cache insert, feeding the
-   bc.compile_ns / rc.promote_ns distributions (no clock read when the
-   sink is disabled) *)
-let compile_block_timed m entry =
-  let t0 = Block_cache.compile_start m.bc in
-  let r = compile_block m entry in
-  Block_cache.compile_done m.bc t0;
-  r
-
-let promote m entry =
-  let t0 = Region_cache.promote_start m.rc in
-  (match compile_region m entry with
-  | Some r -> Region_cache.set m.rc entry ~insns:r.r_n r
-  | None -> Region_cache.mark_unpromotable m.rc entry);
-  Region_cache.promote_done m.rc t0
-
-let exec_region m (r : region) fuel0 =
-  Trace.mark m.tr Trace.Block_enter r.r_entry;
-  if Sim_probe.enabled m.probe then Sim_probe.region_exec m.probe ~entry:r.r_entry;
-  Block_cache.begin_block m.bc;
-  let fuel = ref fuel0 in
-  match
-    r.r_run ();
-    fuel := !fuel - r.r_n;
-    let entry = r.r_entry and rn = r.r_n and fast = r.r_fast in
-    while m.pc = entry && rn <= !fuel do
-      fast ();
-      fuel := !fuel - rn
-    done
-  with
-  | () -> !fuel
-  | exception Region_cache.Loop_exit ->
-    (* the raising fast pass ran to completion and credited itself;
-       perform its deferred commit *)
-    m.pc <- m.nextpc;
-    !fuel - r.r_n
-  | exception Region_cache.Side_exit k ->
-    m.insns <- m.insns + k;
-    Sim_probe.side_exit m.probe ~entry:r.r_entry ~i:k;
-    m.pc <- m.nextpc;
-    !fuel - k
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:r.r_entry ~i;
-    let a = r.r_addrs.(i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    !fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = r.r_addrs.(i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
-
-(* [exec_chain] for regions mode: identical block chaining plus the
-   tier-3 hooks — per-dispatch hotness counting (promoting on the
-   threshold crossing), successor-edge profiling after each clean
-   commit, and chaining into a resident region when one exists at the
-   next pc. *)
-let rec exec_chain_r m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  if Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else begin
-      Region_cache.note_succ m.rc b.entry m.pc;
-      match Region_cache.find m.rc m.pc with
-      | Some r when r.r_n <= fuel -> exec_region m r fuel
-      | _ ->
-        if m.pc = b.entry && b.n <= fuel then exec_chain_r m b fuel
-        else (
-          match Block_cache.find m.bc m.pc with
-          | Some nb when nb.n <= fuel -> exec_chain_r m nb fuel
-          | _ -> fuel)
-    end
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    let a = b.entry + (4 * i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
-
-let default_fuel = 200_000_000
-
-(* Tight tail-recursive loop: the fuel check is a register countdown
-   rather than a per-step ref increment/compare. *)
-(* single-step with exact cycle accounting (the public interface) *)
-let step m =
-  let mi0 = Cache.misses m.icache in
-  (let p = Cache.access_uncounted m.icache m.pc in
-   if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr m.pc;
-  step_inner m m.pc;
-  m.cycles <- m.cycles + 1;
-  Cache.add_hits m.icache (1 - (Cache.misses m.icache - mi0))
-
-(* [step_inner] defers the 1-cycle-per-instruction component of the
-   accounting to its caller; [run] adds it in bulk at exit from the
-   instruction-count delta, so the hot loop carries one counter update
-   less per step.  Totals are exact whenever [run] returns or raises. *)
-(* The icache tag probe is inlined here with its geometry held in
-   parameters (registers), falling back to the full model only on a
-   miss; [run] reconciles the hit counter at exit from the retired-
-   instruction delta, since a fetch loop performs exactly one icache
-   access per retired instruction. *)
-let rec run_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    let line = pc lsr shift in
-    if Array.unsafe_get tags (line land mask) <> line then
-      (let p = Cache.access_uncounted m.icache pc in
-       if p <> 0 then m.cycles <- m.cycles + p);
-    Trace.retire m.tr pc;
-    step_inner m pc;
-    run_go m tags shift mask (fuel - 1)
-  end
-
-(* one interpreted instruction inside the block-dispatch loop: the
-   registerized icache probe of [run_go], then [step_inner] *)
-let[@inline] step_one m tags shift mask =
-  let pc = m.pc in
-  let line = pc lsr shift in
-  if Array.unsafe_get tags (line land mask) <> line then
-    (let p = Cache.access_uncounted m.icache pc in
-     if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr pc;
-  step_inner m pc
-
-(* Block-dispatch run loop: resident block -> [exec_chain]; no block
-   yet -> compile, cache, retry; uncompilable entry / insufficient fuel
-   for a whole block -> one interpreted instruction.  (No delay slots,
-   so any pc is a valid block entry.) *)
-let rec run_blocks_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    match Block_cache.find m.bc pc with
-    | Some b when b.n <= fuel ->
-      let fuel = exec_chain m b fuel in
-      Sim_probe.chain_flush m.probe;
-      run_blocks_go m tags shift mask fuel
-    | Some _ ->
-      step_one m tags shift mask;
-      run_blocks_go m tags shift mask (fuel - 1)
-    | None -> (
-      match compile_block_timed m pc with
-      | Some b ->
-        Block_cache.set m.bc pc b;
-        run_blocks_go m tags shift mask fuel
-      | None ->
-        step_one m tags shift mask;
-        run_blocks_go m tags shift mask (fuel - 1))
-  end
-
-(* Region-dispatch run loop: [run_blocks_go] with a region probe ahead
-   of the block probe, and chaining through [exec_chain_r] so hotness
-   and successor profiles accumulate.  Fuel discipline is unchanged —
-   a region pass only runs when it fits whole, and when it does not,
-   dispatch falls through to the identical block/interpreter ladder. *)
-let rec run_regions_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    match Region_cache.find m.rc pc with
-    | Some r when r.r_n <= fuel ->
-      let fuel = exec_region m r fuel in
-      Sim_probe.chain_flush m.probe;
-      run_regions_go m tags shift mask fuel
-    | _ -> (
-      match Block_cache.find m.bc pc with
-      | Some b when b.n <= fuel ->
-        let fuel = exec_chain_r m b fuel in
-        Sim_probe.chain_flush m.probe;
-        run_regions_go m tags shift mask fuel
-      | Some _ ->
-        step_one m tags shift mask;
-        run_regions_go m tags shift mask (fuel - 1)
-      | None -> (
-        match compile_block_timed m pc with
-        | Some b ->
-          Block_cache.set m.bc pc b;
-          run_regions_go m tags shift mask fuel
-        | None ->
-          step_one m tags shift mask;
-          run_regions_go m tags shift mask (fuel - 1)))
-  end
-
-let run ?(fuel = default_fuel) m =
-  let i0 = m.insns in
-  let mi0 = Cache.misses m.icache in
-  let t0 = Sim_probe.run_start m.probe in
-  let finish () =
-    let retired = m.insns - i0 in
-    m.cycles <- m.cycles + retired;
-    Cache.add_hits m.icache (retired - (Cache.misses m.icache - mi0));
-    Sim_probe.chain_flush m.probe;
-    Sim_probe.retired m.probe retired;
-    Sim_probe.run_done m.probe t0
-  in
-  let tags, shift, mask = Cache.probe m.icache in
-  (try
-     if m.regions then run_regions_go m tags shift mask fuel
-     else if m.blocks then run_blocks_go m tags shift mask fuel
-     else run_go m tags shift mask fuel
-   with e ->
-     finish ();
-     Sim_probe.fault m.probe ~pc:m.pc;
-     raise e);
-  finish ()
+  (* no delay slots, so no padding nops worth eliding *)
+  let is_nop (_ : insn) = false
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Harness: args in $16-$21 / $f16-$f21 by slot; further args on the
@@ -1192,7 +576,8 @@ let run ?(fuel = default_fuel) m =
 
 type arg = Int of int | Int64 of int64 | Double of float | Single of float
 
-let place_args m ~sp args =
+let place_args (m : t) ~sp args =
+  let st = m.arch in
   let slot = ref 0 in
   List.iter
     (fun a ->
@@ -1200,47 +585,35 @@ let place_args m ~sp args =
       incr slot;
       match a with
       | Int v ->
-        if s < 6 then set_reg m (16 + s) (Int64.of_int v)
+        if s < 6 then set_reg st (16 + s) (Int64.of_int v)
         else Mem.write_u64 m.mem (sp + (8 * (s - 6))) (Int64.of_int v)
       | Int64 v ->
-        if s < 6 then set_reg m (16 + s) v else Mem.write_u64 m.mem (sp + (8 * (s - 6))) v
+        if s < 6 then set_reg st (16 + s) v else Mem.write_u64 m.mem (sp + (8 * (s - 6))) v
       | Double v ->
-        if s < 6 then set_fval m (16 + s) v
+        if s < 6 then set_fval st (16 + s) v
         else Mem.write_u64 m.mem (sp + (8 * (s - 6))) (Int64.bits_of_float v)
       | Single v ->
-        if s < 6 then set_fval m (16 + s) v
+        if s < 6 then set_fval st (16 + s) v
         else
           Mem.write_u64 m.mem
             (sp + (8 * (s - 6)))
             (Int64.bits_of_float (Int32.float_of_bits (Int32.bits_of_float v))))
     args
 
-let call ?fuel m ~entry args =
-  let sp = m.stack_top land lnot 15 in
-  set_reg m 30 (Int64.of_int sp);
-  set_reg m 26 (Int64.of_int halt_addr);
+let call ?fuel (m : t) ~entry args =
+  let st = m.arch in
+  let sp = st.stack_top land lnot 15 in
+  set_reg st 30 (Int64.of_int sp);
+  set_reg st 26 (Int64.of_int halt_addr);
   place_args m ~sp args;
   m.pc <- entry;
   run ?fuel m
 
-let ret_int64 m = m.regs.(0)
-let ret_int m = Int64.to_int m.regs.(0)
-let ret_double m = fval m 0
-let ret_single m = fval m 0
+let ret_int64 (m : t) = m.arch.regs.(0)
+let ret_int (m : t) = Int64.to_int m.arch.regs.(0)
+let ret_double (m : t) = fval m.arch 0
+let ret_single (m : t) = fval m.arch 0
 
-let reset_stats m =
-  m.cycles <- 0;
-  m.insns <- 0;
-  Cache.reset_stats m.icache;
-  Cache.reset_stats m.dcache
-
-(* Models v_end's icache invalidation: drop both the timing caches and
-   every predecoded instruction.  (The predecode drop is belt-and-braces
-   — the write watcher already keeps it coherent — and costs nothing on
-   the simulated clock.) *)
-let flush_caches m =
-  Cache.flush m.icache;
-  Cache.flush m.dcache;
-  Decode_cache.clear m.pdc;
-  Block_cache.clear m.bc;
-  Region_cache.clear m.rc
+let call_ints ?fuel m ~entry vals =
+  call ?fuel m ~entry (List.map (fun v -> Int v) vals);
+  ret_int m

@@ -13,15 +13,7 @@ module Tel = Vmachine.Telemetry
 module Trace = Vmachine.Trace
 module Timeline = Vmachine.Timeline
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let json_escape = Report_util.add_json_escaped
 
 type w = { b : Buffer.t; mutable emitted : int }
 

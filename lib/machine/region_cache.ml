@@ -72,21 +72,11 @@ exception Loop_exit
 (* Dispatch count at which a block becomes a promotion candidate. *)
 let hot_threshold = 64
 
-(* Cap on constituent blocks per region, loop-body copies included;
-   with Block_cache.max_insns this bounds a region pass at a few
-   hundred instructions, keeping the whole-pass fuel requirement
-   modest. *)
+(* Cap on constituent blocks per region (a trace is never unrolled: it
+   stops where it closes back on its entry); with Block_cache.max_insns
+   this bounds a region pass at a few hundred instructions, keeping the
+   whole-pass fuel requirement modest. *)
 let max_blocks = 8
-
-(* Cap on loop-body copies when a trace closes back on its entry.
-   Unrolling amortizes the per-pass commit and self-loop check, but
-   only mildly — and a longer pass cycles through more distinct
-   closure call targets, which on wide hosts starts losing to the
-   indirect-branch predictor well before the block cap is reached
-   (measured: 4x-unrolled passes run ~20% *slower* per instruction
-   than 1x).  Held at 1 until a host comes along where the trade
-   flips; the collector supports any value. *)
-let max_unroll = 1
 
 (* Successor-profile sample floor before a dominant edge is trusted. *)
 let min_succ_samples = 16

@@ -30,12 +30,8 @@ exception Loop_exit
 (** dispatch count at which a block becomes a promotion candidate *)
 val hot_threshold : int
 
-(** cap on constituent blocks per region, loop-body copies included *)
+(** cap on constituent blocks per region *)
 val max_blocks : int
-
-(** cap on loop-body copies when a trace closes back on its entry (see
-    the implementation comment for why this is currently 1) *)
-val max_unroll : int
 
 type 'r t
 

@@ -5,28 +5,19 @@
    IEEE bit patterns (fctiwz leaves an integer word in an FP register,
    as on hardware).  CR0's lt/gt/eq bits, LR and CTR are modeled; other
    CR fields, XER and the record forms are not needed by the VCODE
-   port. *)
+   port.
+
+   This file holds the ISA only; the execution tiers are
+   {!Vmachine.Engine}'s, in its no-delay shape ([btarget] is the next-pc
+   scratch every instruction writes). *)
 
 open Vmachine
+include Engine.Core
 module A = Ppc_asm
 
-let halt_addr = 0x10000000
+type insn = A.t
 
-exception Machine_error of string
-
-type t = {
-  mem : Mem.t;
-  icache : Cache.t;
-  dcache : Cache.t;
-  pdc : A.t Decode_cache.t; (* host-side predecode; no cycle effect *)
-  predecode : bool;
-  bc : block Block_cache.t; (* superblock translation cache; no cycle effect *)
-  blocks : bool;
-  rc : region Region_cache.t; (* tier-3 region cache; no cycle effect *)
-  regions : bool;
-  probe : Sim_probe.t;      (* shared telemetry probe; never touches timing *)
-  tr : Trace.t;             (* execution trace; the disabled sink is scratch *)
-  cfg : Mconfig.t;
+type arch = {
   regs : int array;    (* 32, sign-extended 32-bit *)
   fregs : int64 array; (* 32, raw bit patterns *)
   mutable lr : int;
@@ -34,90 +25,10 @@ type t = {
   mutable cr_lt : bool;
   mutable cr_gt : bool;
   mutable cr_eq : bool;
-  mutable pc : int;
-  mutable nextpc : int; (* next-pc scratch for [step]; avoids a per-step ref *)
-  mutable blk_i : int; (* index of the block instruction in flight; abort-fixup scratch *)
-  mutable cycles : int;
-  mutable insns : int;
   mutable stack_top : int;
 }
 
-(* A compiled straight-line run: one closure per instruction, ending at
-   the first control transfer (compiled in; no delay slots on PPC) or
-   the [Block_cache.max_insns] cap. *)
-and block = {
-  entry : int;          (* code address of the first instruction *)
-  n : int;              (* instruction count, terminator included *)
-  run : unit -> unit;   (* the whole straight-line run fused into one closure:
-                           per-instruction icache probes, [blk_i] updates and
-                           the final pc/nextpc/insns commit are baked in at
-                           compile time *)
-  has_term : bool;      (* ends in a control transfer (vs. capped fallthrough) *)
-}
-
-(* A tier-3 region (see the MIPS twin for the full commentary): a hot
-   block plus its dominant direct-chained successors fused into one
-   closure per pass, interior branches specialized to their dominant
-   direction with a [Region_cache.Side_exit] guard, and a probe-free
-   fast pass for self-looping traces whose icache lines don't
-   conflict.  No delay slots here; the branch scratch is [m.nextpc]. *)
-and region = {
-  r_entry : int;
-  r_n : int;                   (* instructions retired per full pass *)
-  r_spans : (int * int) array; (* constituent-block (addr, bytes) *)
-  r_run : unit -> unit;        (* one pass, icache probes included *)
-  r_fast : unit -> unit;       (* one pass, probes elided *)
-  r_addrs : int array;         (* region insn index -> code address *)
-}
-
-let create ?(predecode = true) ?(blocks = true) ?(regions = false)
-    ?(telemetry = Telemetry.disabled) ?(trace = Trace.disabled) (cfg : Mconfig.t) =
-  let mem = Mem.create ~big_endian:true ~size:cfg.mem_bytes () in
-  let pdc = Decode_cache.create ~tel:telemetry ~trace ~name:"ppc.pdc" ~mem_bytes:cfg.mem_bytes () in
-  let bc = Block_cache.create ~tel:telemetry ~trace ~name:"ppc.bc" ~mem_bytes:cfg.mem_bytes
-      ~len_bytes:(fun b -> 4 * b.n) () in
-  let rc = Region_cache.create ~tel:telemetry ~name:"ppc.rc" ~mem_bytes:cfg.mem_bytes
-      ~spans:(fun r -> r.r_spans) () in
-  ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-  ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-  (* A dropped region must abort a running pass even when the
-     overwritten constituent block is no longer bc-resident (so the
-     Block_cache watcher above dropped nothing): raise bc's dirty flag
-     unconditionally and let the shared store closures raise Retired. *)
-  if regions then
-    ignore
-      (Mem.add_write_watcher mem (fun addr len ->
-           if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-        : Mem.watcher);
-  {
-    mem;
-    pdc;
-    predecode;
-    bc;
-    blocks;
-    rc;
-    regions;
-    probe = Sim_probe.create ~trace telemetry ~port:"ppc" ~predecode ~blocks ~regions;
-    tr = trace;
-    icache = Cache.create ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.imiss_penalty;
-    dcache = Cache.create ~size_bytes:cfg.dcache_bytes ~line_bytes:cfg.line_bytes
-               ~miss_penalty:cfg.dmiss_penalty;
-    cfg;
-    regs = Array.make 32 0;
-    fregs = Array.make 32 0L;
-    lr = 0;
-    ctr = 0;
-    cr_lt = false;
-    cr_gt = false;
-    cr_eq = false;
-    pc = 0;
-    nextpc = 0;
-    blk_i = 0;
-    cycles = 0;
-    insns = 0;
-    stack_top = cfg.mem_bytes - 256;
-  }
+type t = (insn, arch) machine
 
 (* branchless sign-extension from bit 31 (OCaml ints are 63-bit, so the
    shift pair drops bits 32+ and replicates bit 31 upward) *)
@@ -126,14 +37,14 @@ let[@inline] sext32 v = (v lsl 31) asr 31
 let u32 v = v land 0xFFFFFFFF
 
 (* register numbers come out of [Ppc_asm.decode] masked to 5 bits *)
-let[@inline] get m r = Array.unsafe_get m.regs r
-let[@inline] set m r v = Array.unsafe_set m.regs r (sext32 v)
+let[@inline] get st r = Array.unsafe_get st.regs r
+let[@inline] set st r v = Array.unsafe_set st.regs r (sext32 v)
 
 (* RA = 0 means literal zero in D-form address/operand computation *)
-let[@inline] get0 m r = if r = 0 then 0 else Array.unsafe_get m.regs r
+let[@inline] get0 st r = if r = 0 then 0 else Array.unsafe_get st.regs r
 
-let fval m f = Int64.float_of_bits m.fregs.(f)
-let set_fval m f v = m.fregs.(f) <- Int64.bits_of_float v
+let fval st f = Int64.float_of_bits st.fregs.(f)
+let set_fval st f v = st.fregs.(f) <- Int64.bits_of_float v
 let single v = Int32.float_of_bits (Int32.bits_of_float v)
 
 let[@inline] daccess m addr =
@@ -142,16 +53,16 @@ let[@inline] daccess m addr =
 (* write-through: always 0 penalty, but the hit/miss stats must tick *)
 let[@inline] waccess m addr = ignore (Cache.write_access m.dcache addr : int)
 
-let set_cr_signed m a b =
-  m.cr_lt <- a < b;
-  m.cr_gt <- a > b;
-  m.cr_eq <- a = b
+let set_cr_signed st a b =
+  st.cr_lt <- a < b;
+  st.cr_gt <- a > b;
+  st.cr_eq <- a = b
 
-let set_cr_unsigned m a b =
+let set_cr_unsigned st a b =
   let a = u32 a and b = u32 b in
-  m.cr_lt <- a < b;
-  m.cr_gt <- a > b;
-  m.cr_eq <- a = b
+  st.cr_lt <- a < b;
+  st.cr_gt <- a > b;
+  st.cr_eq <- a = b
 
 let rlwinm_mask mb me =
   let mask = ref 0 in
@@ -180,114 +91,117 @@ let fetch m pc =
     insn
 
 (* The caller is responsible for the icache timing access on [m.pc]
-   (see [run_go]/[step]): doing it in the small run loop rather than in
-   this large function keeps its register pressure out of every arm. *)
-let step_inner m pc =
+   (the engine's [run_go]/[step]): doing it in the small run loop rather
+   than in this large function keeps its register pressure out of every
+   arm. *)
+let step_inner (m : t) =
+  let pc = m.pc in
+  let st = m.arch in
   m.insns <- m.insns + 1;
   let insn = fetch m pc in
-  m.nextpc <- pc + 4;
+  m.btarget <- pc + 4;
   (match insn with
-  | A.Addi (rt, ra, si) -> set m rt (get0 m ra + si)
-  | A.Addis (rt, ra, si) -> set m rt (get0 m ra + (si * 65536))
+  | A.Addi (rt, ra, si) -> set st rt (get0 st ra + si)
+  | A.Addis (rt, ra, si) -> set st rt (get0 st ra + (si * 65536))
   | A.Mulli (rt, ra, si) ->
     m.cycles <- m.cycles + 4;
-    set m rt (get m ra * si)
-  | A.Cmpi (ra, si) -> set_cr_signed m (get m ra) si
-  | A.Cmpli (ra, ui) -> set_cr_unsigned m (get m ra) ui
-  | A.Ori (ra, rs, ui) -> set m ra (get m rs lor ui)
-  | A.Oris (ra, rs, ui) -> set m ra (get m rs lor (ui lsl 16))
-  | A.Xori (ra, rs, ui) -> set m ra (get m rs lxor ui)
+    set st rt (get st ra * si)
+  | A.Cmpi (ra, si) -> set_cr_signed st (get st ra) si
+  | A.Cmpli (ra, ui) -> set_cr_unsigned st (get st ra) ui
+  | A.Ori (ra, rs, ui) -> set st ra (get st rs lor ui)
+  | A.Oris (ra, rs, ui) -> set st ra (get st rs lor (ui lsl 16))
+  | A.Xori (ra, rs, ui) -> set st ra (get st rs lxor ui)
   | A.Andi (ra, rs, ui) ->
-    let v = get m rs land ui in
-    set m ra v;
-    set_cr_signed m (sext32 v) 0
-  | A.Add (rt, ra, rb) -> set m rt (get m ra + get m rb)
-  | A.Subf (rt, ra, rb) -> set m rt (get m rb - get m ra)
+    let v = get st rs land ui in
+    set st ra v;
+    set_cr_signed st (sext32 v) 0
+  | A.Add (rt, ra, rb) -> set st rt (get st ra + get st rb)
+  | A.Subf (rt, ra, rb) -> set st rt (get st rb - get st ra)
   | A.Mullw (rt, ra, rb) ->
     m.cycles <- m.cycles + 4;
-    set m rt (get m ra * get m rb)
+    set st rt (get st ra * get st rb)
   | A.Divw (rt, ra, rb) ->
     m.cycles <- m.cycles + 19;
-    let a = get m ra and b = get m rb in
-    if b = 0 then set m rt 0 else set m rt (Int.div a b)
+    let a = get st ra and b = get st rb in
+    if b = 0 then set st rt 0 else set st rt (Int.div a b)
   | A.Divwu (rt, ra, rb) ->
     m.cycles <- m.cycles + 19;
-    let a = u32 (get m ra) and b = u32 (get m rb) in
-    if b = 0 then set m rt 0 else set m rt (a / b)
-  | A.Neg (rt, ra) -> set m rt (-get m ra)
-  | A.And (ra, rs, rb) -> set m ra (get m rs land get m rb)
-  | A.Or (ra, rs, rb) -> set m ra (get m rs lor get m rb)
-  | A.Xor (ra, rs, rb) -> set m ra (get m rs lxor get m rb)
-  | A.Nor (ra, rs, rb) -> set m ra (lnot (get m rs lor get m rb))
+    let a = u32 (get st ra) and b = u32 (get st rb) in
+    if b = 0 then set st rt 0 else set st rt (a / b)
+  | A.Neg (rt, ra) -> set st rt (-get st ra)
+  | A.And (ra, rs, rb) -> set st ra (get st rs land get st rb)
+  | A.Or (ra, rs, rb) -> set st ra (get st rs lor get st rb)
+  | A.Xor (ra, rs, rb) -> set st ra (get st rs lxor get st rb)
+  | A.Nor (ra, rs, rb) -> set st ra (lnot (get st rs lor get st rb))
   | A.Slw (ra, rs, rb) ->
-    let sh = get m rb land 63 in
-    set m ra (if sh > 31 then 0 else get m rs lsl sh)
+    let sh = get st rb land 63 in
+    set st ra (if sh > 31 then 0 else get st rs lsl sh)
   | A.Srw (ra, rs, rb) ->
-    let sh = get m rb land 63 in
-    set m ra (if sh > 31 then 0 else u32 (get m rs) lsr sh)
+    let sh = get st rb land 63 in
+    set st ra (if sh > 31 then 0 else u32 (get st rs) lsr sh)
   | A.Sraw (ra, rs, rb) ->
-    let sh = get m rb land 63 in
-    set m ra (get m rs asr min sh 31)
-  | A.Srawi (ra, rs, sh) -> set m ra (get m rs asr sh)
+    let sh = get st rb land 63 in
+    set st ra (get st rs asr min sh 31)
+  | A.Srawi (ra, rs, sh) -> set st ra (get st rs asr sh)
   | A.Cntlzw (ra, rs) ->
-    let v = u32 (get m rs) in
+    let v = u32 (get st rs) in
     let rec go n bit = if bit < 0 || v land (1 lsl bit) <> 0 then n else go (n + 1) (bit - 1) in
-    set m ra (if v = 0 then 32 else go 0 31)
-  | A.Cmp (ra, rb) -> set_cr_signed m (get m ra) (get m rb)
-  | A.Cmpl (ra, rb) -> set_cr_unsigned m (get m ra) (get m rb)
+    set st ra (if v = 0 then 32 else go 0 31)
+  | A.Cmp (ra, rb) -> set_cr_signed st (get st ra) (get st rb)
+  | A.Cmpl (ra, rb) -> set_cr_unsigned st (get st ra) (get st rb)
   | A.Rlwinm (ra, rs, sh, mb, me) ->
-    set m ra (rotl32 (get m rs) sh land rlwinm_mask mb me)
+    set st ra (rotl32 (get st rs) sh land rlwinm_mask mb me)
   | A.Lbz (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
-    set m rt (Mem.read_u8 m.mem a)
+    set st rt (Mem.read_u8 m.mem a)
   | A.Lhz (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
-    set m rt (Mem.read_u16 m.mem a)
+    set st rt (Mem.read_u16 m.mem a)
   | A.Lha (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
     let v = Mem.read_u16 m.mem a in
-    set m rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
+    set st rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
   | A.Lwz (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
-    set m rt (Mem.read_u32 m.mem a)
+    set st rt (Mem.read_u32 m.mem a)
   | A.Stb (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     waccess m a;
-    Mem.write_u8 m.mem a (get m rt)
+    Mem.write_u8 m.mem a (get st rt)
   | A.Sth (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     waccess m a;
-    Mem.write_u16 m.mem a (get m rt)
+    Mem.write_u16 m.mem a (get st rt)
   | A.Stw (rt, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     waccess m a;
-    Mem.write_u32 m.mem a (u32 (get m rt))
+    Mem.write_u32 m.mem a (u32 (get st rt))
   | A.Lfs (t, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
-    set_fval m t (Int32.float_of_bits (Int32.of_int (Mem.read_u32 m.mem a)))
+    set_fval st t (Int32.float_of_bits (Int32.of_int (Mem.read_u32 m.mem a)))
   | A.Lfd (t, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     daccess m a;
-    m.fregs.(t) <- Mem.read_u64 m.mem a
+    st.fregs.(t) <- Mem.read_u64 m.mem a
   | A.Stfs (t, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     waccess m a;
-    Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval m t)) land 0xFFFFFFFF)
+    Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval st t)) land 0xFFFFFFFF)
   | A.Stfd (t, ra, d) ->
-    let a = u32 (get0 m ra) + d in
+    let a = u32 (get0 st ra) + d in
     waccess m a;
-    Mem.write_u64 m.mem a m.fregs.(t)
-  | A.B li -> m.nextpc <- pc + (4 * li)
+    Mem.write_u64 m.mem a st.fregs.(t)
+  | A.B li -> m.btarget <- pc + (4 * li)
   | A.Bl li ->
-    m.lr <- pc + 4;
-    m.nextpc <- pc + (4 * li)
+    st.lr <- pc + 4;
+    m.btarget <- pc + (4 * li)
   | A.Bc (bo, bi, bd) ->
-    let bit = match bi with 0 -> m.cr_lt | 1 -> m.cr_gt | 2 -> m.cr_eq | _ -> false in
+    let bit = match bi with 0 -> st.cr_lt | 1 -> st.cr_gt | 2 -> st.cr_eq | _ -> false in
     let taken =
       match bo with
       | 12 -> bit
@@ -295,300 +209,295 @@ let step_inner m pc =
       | 20 -> true
       | _ -> raise (Machine_error (Printf.sprintf "unsupported BO %d at 0x%x" bo pc))
     in
-    if taken then m.nextpc <- pc + (4 * bd)
-  | A.Blr -> m.nextpc <- u32 m.lr
-  | A.Bctr -> m.nextpc <- u32 m.ctr
+    if taken then m.btarget <- pc + (4 * bd)
+  | A.Blr -> m.btarget <- u32 st.lr
+  | A.Bctr -> m.btarget <- u32 st.ctr
   | A.Bctrl ->
-    m.lr <- pc + 4;
-    m.nextpc <- u32 m.ctr
-  | A.Mflr rt -> set m rt m.lr
-  | A.Mtlr rs -> m.lr <- u32 (get m rs)
-  | A.Mtctr rs -> m.ctr <- u32 (get m rs)
-  | A.Fadd (t, a, b) -> m.cycles <- m.cycles + 2; set_fval m t (fval m a +. fval m b)
-  | A.Fsub (t, a, b) -> m.cycles <- m.cycles + 2; set_fval m t (fval m a -. fval m b)
-  | A.Fmul (t, a, c) -> m.cycles <- m.cycles + 3; set_fval m t (fval m a *. fval m c)
-  | A.Fdiv (t, a, b) -> m.cycles <- m.cycles + 17; set_fval m t (fval m a /. fval m b)
-  | A.Fadds (t, a, b) -> m.cycles <- m.cycles + 2; set_fval m t (single (fval m a +. fval m b))
-  | A.Fsubs (t, a, b) -> m.cycles <- m.cycles + 2; set_fval m t (single (fval m a -. fval m b))
-  | A.Fmuls (t, a, c) -> m.cycles <- m.cycles + 3; set_fval m t (single (fval m a *. fval m c))
-  | A.Fdivs (t, a, b) -> m.cycles <- m.cycles + 17; set_fval m t (single (fval m a /. fval m b))
-  | A.Fneg (t, b) -> set_fval m t (-.fval m b)
-  | A.Fmr (t, b) -> m.fregs.(t) <- m.fregs.(b)
-  | A.Frsp (t, b) -> set_fval m t (single (fval m b))
+    st.lr <- pc + 4;
+    m.btarget <- u32 st.ctr
+  | A.Mflr rt -> set st rt st.lr
+  | A.Mtlr rs -> st.lr <- u32 (get st rs)
+  | A.Mtctr rs -> st.ctr <- u32 (get st rs)
+  | A.Fadd (t, a, b) -> m.cycles <- m.cycles + 2; set_fval st t (fval st a +. fval st b)
+  | A.Fsub (t, a, b) -> m.cycles <- m.cycles + 2; set_fval st t (fval st a -. fval st b)
+  | A.Fmul (t, a, c) -> m.cycles <- m.cycles + 3; set_fval st t (fval st a *. fval st c)
+  | A.Fdiv (t, a, b) -> m.cycles <- m.cycles + 17; set_fval st t (fval st a /. fval st b)
+  | A.Fadds (t, a, b) -> m.cycles <- m.cycles + 2; set_fval st t (single (fval st a +. fval st b))
+  | A.Fsubs (t, a, b) -> m.cycles <- m.cycles + 2; set_fval st t (single (fval st a -. fval st b))
+  | A.Fmuls (t, a, c) -> m.cycles <- m.cycles + 3; set_fval st t (single (fval st a *. fval st c))
+  | A.Fdivs (t, a, b) -> m.cycles <- m.cycles + 17; set_fval st t (single (fval st a /. fval st b))
+  | A.Fneg (t, b) -> set_fval st t (-.fval st b)
+  | A.Fmr (t, b) -> st.fregs.(t) <- st.fregs.(b)
+  | A.Frsp (t, b) -> set_fval st t (single (fval st b))
   | A.Fctiwz (t, b) ->
-    let v = Int64.of_float (Float.trunc (fval m b)) in
-    m.fregs.(t) <- Int64.logand v 0xFFFFFFFFL
+    let v = Int64.of_float (Float.trunc (fval st b)) in
+    st.fregs.(t) <- Int64.logand v 0xFFFFFFFFL
   | A.Fcmpu (a, b) ->
-    let x = fval m a and y = fval m b in
-    m.cr_lt <- x < y;
-    m.cr_gt <- x > y;
-    m.cr_eq <- x = y);
-  m.pc <- m.nextpc
+    let x = fval st a and y = fval st b in
+    st.cr_lt <- x < y;
+    st.cr_gt <- x > y;
+    st.cr_eq <- x = y);
+  m.pc <- m.btarget
 
 (* ------------------------------------------------------------------ *)
-(* Superblock translation (see {!Vmachine.Block_cache}): compile a
-   straight-line decoded run into one closure per instruction, executed
-   by [exec_chain] without per-instruction dispatch.  Each closure
-   replicates its [step_inner] arm exactly — same arithmetic, same
-   memory-access order, same cycle surcharges — so a block retires with
-   the same architectural state and timing as the interpreter.  PPC has
-   no delay slots: a block is body instructions plus (optionally) the
-   control transfer itself, whose closure leaves the target in
-   [m.nextpc] for the block commit.  A [Bc] with an unsupported BO
-   field compiles to a closure raising the interpreter's exact
-   machine error. *)
+(* Compiled actions for the superblock and region tiers of
+   {!Vmachine.Engine}.  Each closure replicates its [step_inner] arm
+   exactly — same arithmetic, same memory-access order, same cycle
+   surcharges.  PPC has no delay slots: a block is body instructions
+   plus (optionally) the control transfer itself, whose closure leaves
+   the target in [m.btarget] for the block commit.  A [Bc] with an
+   unsupported BO field compiles to a closure raising the interpreter's
+   exact machine error. *)
 
 (* Compiled action for one *body* (non-control) instruction; [None]
    for the control transfers compiled via [term_of].  Store closures
    test the block cache's dirty flag after writing and abort with
    [Block_cache.Retired]. *)
-let act_of m (insn : A.t) : (unit -> unit) option =
+let act_of (m : t) (insn : insn) : (unit -> unit) option =
+  let st = m.arch in
   match insn with
-  | A.Addi (rt, ra, si) -> Some (fun () -> set m rt (get0 m ra + si))
+  | A.Addi (rt, ra, si) -> Some (fun () -> set st rt (get0 st ra + si))
   | A.Addis (rt, ra, si) ->
     let v = si * 65536 in
-    Some (fun () -> set m rt (get0 m ra + v))
+    Some (fun () -> set st rt (get0 st ra + v))
   | A.Mulli (rt, ra, si) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 4;
-        set m rt (get m ra * si))
-  | A.Cmpi (ra, si) -> Some (fun () -> set_cr_signed m (get m ra) si)
-  | A.Cmpli (ra, ui) -> Some (fun () -> set_cr_unsigned m (get m ra) ui)
-  | A.Ori (ra, rs, ui) -> Some (fun () -> set m ra (get m rs lor ui))
+        set st rt (get st ra * si))
+  | A.Cmpi (ra, si) -> Some (fun () -> set_cr_signed st (get st ra) si)
+  | A.Cmpli (ra, ui) -> Some (fun () -> set_cr_unsigned st (get st ra) ui)
+  | A.Ori (ra, rs, ui) -> Some (fun () -> set st ra (get st rs lor ui))
   | A.Oris (ra, rs, ui) ->
     let v = ui lsl 16 in
-    Some (fun () -> set m ra (get m rs lor v))
-  | A.Xori (ra, rs, ui) -> Some (fun () -> set m ra (get m rs lxor ui))
+    Some (fun () -> set st ra (get st rs lor v))
+  | A.Xori (ra, rs, ui) -> Some (fun () -> set st ra (get st rs lxor ui))
   | A.Andi (ra, rs, ui) ->
     Some
       (fun () ->
-        let v = get m rs land ui in
-        set m ra v;
-        set_cr_signed m (sext32 v) 0)
-  | A.Add (rt, ra, rb) -> Some (fun () -> set m rt (get m ra + get m rb))
-  | A.Subf (rt, ra, rb) -> Some (fun () -> set m rt (get m rb - get m ra))
+        let v = get st rs land ui in
+        set st ra v;
+        set_cr_signed st (sext32 v) 0)
+  | A.Add (rt, ra, rb) -> Some (fun () -> set st rt (get st ra + get st rb))
+  | A.Subf (rt, ra, rb) -> Some (fun () -> set st rt (get st rb - get st ra))
   | A.Mullw (rt, ra, rb) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 4;
-        set m rt (get m ra * get m rb))
+        set st rt (get st ra * get st rb))
   | A.Divw (rt, ra, rb) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 19;
-        let a = get m ra and b = get m rb in
-        if b = 0 then set m rt 0 else set m rt (Int.div a b))
+        let a = get st ra and b = get st rb in
+        if b = 0 then set st rt 0 else set st rt (Int.div a b))
   | A.Divwu (rt, ra, rb) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 19;
-        let a = u32 (get m ra) and b = u32 (get m rb) in
-        if b = 0 then set m rt 0 else set m rt (a / b))
-  | A.Neg (rt, ra) -> Some (fun () -> set m rt (-get m ra))
-  | A.And (ra, rs, rb) -> Some (fun () -> set m ra (get m rs land get m rb))
-  | A.Or (ra, rs, rb) -> Some (fun () -> set m ra (get m rs lor get m rb))
-  | A.Xor (ra, rs, rb) -> Some (fun () -> set m ra (get m rs lxor get m rb))
-  | A.Nor (ra, rs, rb) -> Some (fun () -> set m ra (lnot (get m rs lor get m rb)))
+        let a = u32 (get st ra) and b = u32 (get st rb) in
+        if b = 0 then set st rt 0 else set st rt (a / b))
+  | A.Neg (rt, ra) -> Some (fun () -> set st rt (-get st ra))
+  | A.And (ra, rs, rb) -> Some (fun () -> set st ra (get st rs land get st rb))
+  | A.Or (ra, rs, rb) -> Some (fun () -> set st ra (get st rs lor get st rb))
+  | A.Xor (ra, rs, rb) -> Some (fun () -> set st ra (get st rs lxor get st rb))
+  | A.Nor (ra, rs, rb) -> Some (fun () -> set st ra (lnot (get st rs lor get st rb)))
   | A.Slw (ra, rs, rb) ->
     Some
       (fun () ->
-        let sh = get m rb land 63 in
-        set m ra (if sh > 31 then 0 else get m rs lsl sh))
+        let sh = get st rb land 63 in
+        set st ra (if sh > 31 then 0 else get st rs lsl sh))
   | A.Srw (ra, rs, rb) ->
     Some
       (fun () ->
-        let sh = get m rb land 63 in
-        set m ra (if sh > 31 then 0 else u32 (get m rs) lsr sh))
+        let sh = get st rb land 63 in
+        set st ra (if sh > 31 then 0 else u32 (get st rs) lsr sh))
   | A.Sraw (ra, rs, rb) ->
     Some
       (fun () ->
-        let sh = get m rb land 63 in
-        set m ra (get m rs asr min sh 31))
-  | A.Srawi (ra, rs, sh) -> Some (fun () -> set m ra (get m rs asr sh))
+        let sh = get st rb land 63 in
+        set st ra (get st rs asr min sh 31))
+  | A.Srawi (ra, rs, sh) -> Some (fun () -> set st ra (get st rs asr sh))
   | A.Cntlzw (ra, rs) ->
     Some
       (fun () ->
-        let v = u32 (get m rs) in
+        let v = u32 (get st rs) in
         let rec go n bit =
           if bit < 0 || v land (1 lsl bit) <> 0 then n else go (n + 1) (bit - 1)
         in
-        set m ra (if v = 0 then 32 else go 0 31))
-  | A.Cmp (ra, rb) -> Some (fun () -> set_cr_signed m (get m ra) (get m rb))
-  | A.Cmpl (ra, rb) -> Some (fun () -> set_cr_unsigned m (get m ra) (get m rb))
+        set st ra (if v = 0 then 32 else go 0 31))
+  | A.Cmp (ra, rb) -> Some (fun () -> set_cr_signed st (get st ra) (get st rb))
+  | A.Cmpl (ra, rb) -> Some (fun () -> set_cr_unsigned st (get st ra) (get st rb))
   | A.Rlwinm (ra, rs, sh, mb, me) ->
     let mask = rlwinm_mask mb me in
-    Some (fun () -> set m ra (rotl32 (get m rs) sh land mask))
+    Some (fun () -> set st ra (rotl32 (get st rs) sh land mask))
   | A.Lbz (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
-        set m rt (Mem.read_u8 m.mem a))
+        set st rt (Mem.read_u8 m.mem a))
   | A.Lhz (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
-        set m rt (Mem.read_u16 m.mem a))
+        set st rt (Mem.read_u16 m.mem a))
   | A.Lha (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
         let v = Mem.read_u16 m.mem a in
-        set m rt (if v land 0x8000 <> 0 then v - 0x10000 else v))
+        set st rt (if v land 0x8000 <> 0 then v - 0x10000 else v))
   | A.Lwz (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
-        set m rt (Mem.read_u32 m.mem a))
+        set st rt (Mem.read_u32 m.mem a))
   | A.Stb (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         waccess m a;
-        Mem.write_u8 m.mem a (get m rt);
+        Mem.write_u8 m.mem a (get st rt);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Sth (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         waccess m a;
-        Mem.write_u16 m.mem a (get m rt);
+        Mem.write_u16 m.mem a (get st rt);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Stw (rt, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         waccess m a;
-        Mem.write_u32 m.mem a (u32 (get m rt));
+        Mem.write_u32 m.mem a (u32 (get st rt));
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Lfs (t, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
-        set_fval m t (Int32.float_of_bits (Int32.of_int (Mem.read_u32 m.mem a))))
+        set_fval st t (Int32.float_of_bits (Int32.of_int (Mem.read_u32 m.mem a))))
   | A.Lfd (t, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         daccess m a;
-        m.fregs.(t) <- Mem.read_u64 m.mem a)
+        st.fregs.(t) <- Mem.read_u64 m.mem a)
   | A.Stfs (t, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         waccess m a;
-        Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval m t)) land 0xFFFFFFFF);
+        Mem.write_u32 m.mem a (Int32.to_int (Int32.bits_of_float (fval st t)) land 0xFFFFFFFF);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
   | A.Stfd (t, ra, d) ->
     Some
       (fun () ->
-        let a = u32 (get0 m ra) + d in
+        let a = u32 (get0 st ra) + d in
         waccess m a;
-        Mem.write_u64 m.mem a m.fregs.(t);
+        Mem.write_u64 m.mem a st.fregs.(t);
         if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | A.Mflr rt -> Some (fun () -> set m rt m.lr)
-  | A.Mtlr rs -> Some (fun () -> m.lr <- u32 (get m rs))
-  | A.Mtctr rs -> Some (fun () -> m.ctr <- u32 (get m rs))
+  | A.Mflr rt -> Some (fun () -> set st rt st.lr)
+  | A.Mtlr rs -> Some (fun () -> st.lr <- u32 (get st rs))
+  | A.Mtctr rs -> Some (fun () -> st.ctr <- u32 (get st rs))
   | A.Fadd (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 2;
-        set_fval m t (fval m a +. fval m b))
+        set_fval st t (fval st a +. fval st b))
   | A.Fsub (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 2;
-        set_fval m t (fval m a -. fval m b))
+        set_fval st t (fval st a -. fval st b))
   | A.Fmul (t, a, c) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 3;
-        set_fval m t (fval m a *. fval m c))
+        set_fval st t (fval st a *. fval st c))
   | A.Fdiv (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 17;
-        set_fval m t (fval m a /. fval m b))
+        set_fval st t (fval st a /. fval st b))
   | A.Fadds (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 2;
-        set_fval m t (single (fval m a +. fval m b)))
+        set_fval st t (single (fval st a +. fval st b)))
   | A.Fsubs (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 2;
-        set_fval m t (single (fval m a -. fval m b)))
+        set_fval st t (single (fval st a -. fval st b)))
   | A.Fmuls (t, a, c) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 3;
-        set_fval m t (single (fval m a *. fval m c)))
+        set_fval st t (single (fval st a *. fval st c)))
   | A.Fdivs (t, a, b) ->
     Some
       (fun () ->
         m.cycles <- m.cycles + 17;
-        set_fval m t (single (fval m a /. fval m b)))
-  | A.Fneg (t, b) -> Some (fun () -> set_fval m t (-.fval m b))
-  | A.Fmr (t, b) -> Some (fun () -> m.fregs.(t) <- m.fregs.(b))
-  | A.Frsp (t, b) -> Some (fun () -> set_fval m t (single (fval m b)))
+        set_fval st t (single (fval st a /. fval st b)))
+  | A.Fneg (t, b) -> Some (fun () -> set_fval st t (-.fval st b))
+  | A.Fmr (t, b) -> Some (fun () -> st.fregs.(t) <- st.fregs.(b))
+  | A.Frsp (t, b) -> Some (fun () -> set_fval st t (single (fval st b)))
   | A.Fctiwz (t, b) ->
     Some
       (fun () ->
-        let v = Int64.of_float (Float.trunc (fval m b)) in
-        m.fregs.(t) <- Int64.logand v 0xFFFFFFFFL)
+        let v = Int64.of_float (Float.trunc (fval st b)) in
+        st.fregs.(t) <- Int64.logand v 0xFFFFFFFFL)
   | A.Fcmpu (a, b) ->
     Some
       (fun () ->
-        let x = fval m a and y = fval m b in
-        m.cr_lt <- x < y;
-        m.cr_gt <- x > y;
-        m.cr_eq <- x = y)
+        let x = fval st a and y = fval st b in
+        st.cr_lt <- x < y;
+        st.cr_gt <- x > y;
+        st.cr_eq <- x = y)
   | A.B _ | A.Bl _ | A.Bc _ | A.Blr | A.Bctr | A.Bctrl -> None
 
 (* Compiled closure for a block *terminator* at address [pc]: leaves
-   the control-transfer target in [m.nextpc] (fallthrough [pc + 4] for
-   an untaken branch) — exactly the interpreter's nextpc discipline;
-   the block commit moves nextpc into pc. *)
-let term_of m pc (insn : A.t) : (unit -> unit) option =
+   the control-transfer target in [m.btarget] (fallthrough [pc + 4] for
+   an untaken branch) — exactly the interpreter's btarget discipline;
+   the block commit moves btarget into pc. *)
+let term_of (m : t) pc (insn : insn) : (unit -> unit) option =
+  let st = m.arch in
   let ft = pc + 4 in
   match insn with
   | A.B li ->
     let tk = pc + (4 * li) in
-    Some (fun () -> m.nextpc <- tk)
+    Some (fun () -> m.btarget <- tk)
   | A.Bl li ->
     let tk = pc + (4 * li) in
     Some
       (fun () ->
-        m.lr <- pc + 4;
-        m.nextpc <- tk)
+        st.lr <- pc + 4;
+        m.btarget <- tk)
   | A.Bc (bo, bi, bd) -> (
     let tk = pc + (4 * bd) in
-    let bit () = match bi with 0 -> m.cr_lt | 1 -> m.cr_gt | 2 -> m.cr_eq | _ -> false in
+    let bit () = match bi with 0 -> st.cr_lt | 1 -> st.cr_gt | 2 -> st.cr_eq | _ -> false in
     match bo with
-    | 12 -> Some (fun () -> m.nextpc <- (if bit () then tk else ft))
-    | 4 -> Some (fun () -> m.nextpc <- (if not (bit ()) then tk else ft))
-    | 20 -> Some (fun () -> m.nextpc <- tk)
+    | 12 -> Some (fun () -> m.btarget <- (if bit () then tk else ft))
+    | 4 -> Some (fun () -> m.btarget <- (if not (bit ()) then tk else ft))
+    | 20 -> Some (fun () -> m.btarget <- tk)
     | _ ->
       Some
         (fun () -> raise (Machine_error (Printf.sprintf "unsupported BO %d at 0x%x" bo pc))))
-  | A.Blr -> Some (fun () -> m.nextpc <- u32 m.lr)
-  | A.Bctr -> Some (fun () -> m.nextpc <- u32 m.ctr)
+  | A.Blr -> Some (fun () -> m.btarget <- u32 st.lr)
+  | A.Bctr -> Some (fun () -> m.btarget <- u32 st.ctr)
   | A.Bctrl ->
     Some
       (fun () ->
-        m.lr <- pc + 4;
-        m.nextpc <- u32 m.ctr)
+        st.lr <- pc + 4;
+        m.btarget <- u32 st.ctr)
   | _ -> None
-
-(* instructions allowed before the terminator within the
-   [Block_cache.max_insns] cap *)
-let max_body = Block_cache.max_insns - 1
 
 (* Only closures for these instructions can raise: a memory fault from
    a load/store, or [Block_cache.Retired] from a store that invalidated
@@ -598,578 +507,41 @@ let max_body = Block_cache.max_insns - 1
    time for can-raise instructions alone and elided everywhere else.
    The terminator is always classified can-raise: the unsupported-BO
    trap raises from inside its closure. *)
-let act_raises (insn : A.t) : bool =
+let act_raises (insn : insn) : bool =
   match insn with
   | A.Lbz _ | A.Lhz _ | A.Lha _ | A.Lwz _ | A.Stb _ | A.Sth _ | A.Stw _
   | A.Lfs _ | A.Lfd _ | A.Stfs _ | A.Stfd _ -> true
   | _ -> false
 
-(* Fuse a list of action closures into one, sequencing by direct calls
-   in chunks of four: one chunk-closure entry per four instructions
-   instead of a per-instruction array load and loop-counter update.
-   Exceptions propagate out of the fused closure unchanged. *)
-let rec seq (cs : (unit -> unit) list) : unit -> unit =
-  match cs with
-  | [] -> fun () -> ()
-  | [ a ] -> a
-  | [ a; b ] -> fun () -> a (); b ()
-  | [ a; b; c ] -> fun () -> a (); b (); c ()
-  | [ a; b; c; d ] -> fun () -> a (); b (); c (); d ()
-  | a :: b :: c :: d :: rest ->
-    let r = seq rest in
-    fun () -> a (); b (); c (); d (); r ()
+include Engine.Make (struct
+  type nonrec insn = insn
+  type nonrec arch = arch
 
-(* Scan the straight-line run entered at [entry]: body instructions up
-   to and including the first control transfer, a non-compilable word
-   (illegal, unmapped — left for the interpreter to trap on), or the
-   length cap.  Returns the per-instruction (can-raise, action) list
-   and whether it ends in a terminator; [None] if not even one
-   instruction compiles.  The terminator is classified can-raise (the
-   unsupported-BO trap raises from inside its closure).  Shared by the
-   superblock and region compilers. *)
-let scan_run m entry =
-  let fetch_opt pc =
-    match fetch m pc with
-    | i -> Some i
-    | exception (Machine_error _ | Mem.Fault _) -> None
-  in
-  let body = ref [] and nbody = ref 0 in
-  let fin = ref None in
-  let stop = ref false in
-  let pc = ref entry in
-  while (not !stop) && !nbody < max_body do
-    match fetch_opt !pc with
-    | None -> stop := true
-    | Some insn -> (
-      match act_of m insn with
-      | Some a ->
-        body := (act_raises insn, a) :: !body;
-        incr nbody;
-        pc := !pc + 4
-      | None ->
-        stop := true;
-        fin := term_of m !pc insn)
-  done;
-  let tail, has_term = match !fin with Some t -> ([ (true, t) ], true) | None -> ([], false) in
-  match List.rev_append !body tail with
-  | [] -> None
-  | all -> Some (all, has_term)
+  let port = "ppc"
+  let big_endian = true
+  let delay = false
 
-(* Compile the straight-line run entered at [entry] into a superblock.
+  let init (cfg : Mconfig.t) _ =
+    { regs = Array.make 32 0; fregs = Array.make 32 0L; lr = 0; ctr = 0; cr_lt = false;
+      cr_gt = false; cr_eq = false; stack_top = cfg.mem_bytes - 256 }
 
-   Timing is baked into the closures: the instruction that starts a new
-   icache line carries the registerized probe (a later same-line fetch
-   is a guaranteed hit — a block spans at most 256 consecutive bytes,
-   far below the icache size, so it cannot evict its own lines, and a
-   guaranteed hit is a no-op under bulk hit reconciliation).  Capturing
-   the tag array here is safe because [Cache.flush] clears it in
-   place. *)
-let compile_block m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  match scan_run m entry with
-  | None -> None
-  | Some (all, has_term) ->
-    let n = List.length all in
-    let wrap i (raises, act) =
-      let addr = entry + (4 * i) in
-      let line = addr lsr shift in
-      let boundary = i = 0 || line <> (addr - 4) lsr shift in
-      if boundary then begin
-        let idx = line land mask in
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-        else
-          fun () ->
-            if Array.unsafe_get tags idx <> line then begin
-              let p = Cache.access_uncounted m.icache addr in
-              if p <> 0 then m.cycles <- m.cycles + p
-            end;
-            act ()
-      end
-      else if raises then
-        fun () ->
-          m.blk_i <- i;
-          act ()
-      else act
-    in
-    (* traced runs re-bind [wrap] so each closure records its issue
-       before acting (issue order = the interpreter's retire stream);
-       untraced compilation keeps the exact closures above *)
-    let wrap =
-      if not (Trace.is_enabled m.tr) then wrap
-      else
-        fun i ra ->
-          let f = wrap i ra in
-          let addr = entry + (4 * i) in
-          fun () ->
-            Trace.retire m.tr addr;
-            f ()
-    in
-    (* the commit is one more cannot-raise action fused onto the end:
-       if anything earlier raises, it never runs, and the fixup
-       handlers in [exec_chain] account the partial run instead *)
-    let commit =
-      if has_term then
-        fun () ->
-          m.insns <- m.insns + n;
-          m.pc <- m.nextpc
-      else begin
-        let ft = entry + (4 * n) in
-        fun () ->
-          m.insns <- m.insns + n;
-          m.nextpc <- ft;
-          m.pc <- ft
-      end
-    in
-    Some { entry; n; run = seq (List.mapi wrap all @ [ commit ]); has_term }
+  let fetch = fetch
+  let step_inner = step_inner
+  let act_of = act_of
+  let term_of = term_of
+  let act_raises = act_raises
 
-(* Execute [b] (precondition: [b.n <= fuel]), then chain directly into
-   the next resident block while fuel lasts.  Returns the remaining
-   fuel; the three exits (clean commit, [Retired] store-abort, fault)
-   leave exactly the state the interpreter would — see the MIPS twin of
-   this function for the case analysis (simpler here: no delay slots,
-   so the post-instruction pc is always the straight-line successor for
-   aborts; the unsupported-BO trap raises before assigning nextpc, like
-   any body fault). *)
-let rec exec_chain m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else if m.pc = b.entry && b.n <= fuel then
-      (* self-loop fast path: a clean exit means no resident block was
-         invalidated, so [b] is certainly still cached for [entry] *)
-      exec_chain m b fuel
-    else (
-      match Block_cache.find m.bc m.pc with
-      | Some nb when nb.n <= fuel -> exec_chain m nb fuel
-      | _ -> fuel)
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    let a = b.entry + (4 * i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
+  (* the unsupported-BO trap raises from inside the terminator closure *)
+  let term_raises = true
 
-(* ------------------------------------------------------------------ *)
-(* Tier-3 regions: the MIPS twin carries the full commentary; here the
-   branch scratch is [m.nextpc] (terminators write it for both arms, so
-   the guard compares it against the trace's next entry).  PPC
-   terminators are can-raise — the unsupported-BO trap raises before
-   assigning nextpc, so the generic fault fixup covers them. *)
+  let static_target tpc : insn -> int option = function
+    | A.B li | A.Bl li -> Some (tpc + (4 * li))
+    | A.Bc (20, _, bd) -> Some (tpc + (4 * bd))
+    | _ -> None
 
-let compile_region m entry =
-  let tags, shift, mask = Cache.probe m.icache in
-  let rec collect pc first_len acc nblocks =
-    match scan_run m pc with
-    | None -> List.rev acc
-    | Some (all, has_term) ->
-      let n = List.length all in
-      let acc = (pc, all, has_term, n) :: acc in
-      let nblocks = nblocks + 1 in
-      let succ =
-        if has_term then Region_cache.dominant_succ m.rc pc
-        else Some (pc + (4 * n))
-      in
-      (match succ with
-      | Some s when s land 3 = 0 && s > 0 ->
-        if s = entry then begin
-          let fl = match first_len with None -> nblocks | Some f -> f in
-          if
-            nblocks + fl <= Region_cache.max_blocks
-            && nblocks < Region_cache.max_unroll * fl
-          then collect s (Some fl) acc nblocks
-          else List.rev acc
-        end
-        else if nblocks < Region_cache.max_blocks then collect s first_len acc nblocks
-        else List.rev acc
-      | _ -> List.rev acc)
-  in
-  match collect entry None [] 0 with
-  | [] | [ _ ] -> None (* a single block gains nothing over tier 2 *)
-  | blks ->
-    let blks = Array.of_list blks in
-    let nb = Array.length blks in
-    let r_n = Array.fold_left (fun a (_, _, _, n) -> a + n) 0 blks in
-    let spans = Array.map (fun (p, _, _, n) -> (p, 4 * n)) blks in
-    let addrs = Array.make r_n 0 in
-    let traced = Trace.is_enabled m.tr in
-    (* Unconditional direct branches (b, bl, bc with BO=20) pin nextpc
-       statically: a guard matching the trace successor can never fire
-       and is omitted (see the MIPS twin for the rationale). *)
-    let static_jump_target p n =
-      let tpc = p + (4 * (n - 1)) in
-      match fetch m tpc with
-      | A.B li | A.Bl li -> Some (tpc + (4 * li))
-      | A.Bc (20, _, bd) -> Some (tpc + (4 * bd))
-      | _ -> None
-      | exception (Machine_error _ | Mem.Fault _) -> None
-    in
-    let probed = ref [] and fastc = ref [] in
-    let push_insn i addr raises act boundary =
-      let line = addr lsr shift in
-      let idx = line land mask in
-      let pr =
-        if boundary then
-          if raises then
-            fun () ->
-              m.blk_i <- i;
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-          else
-            fun () ->
-              if Array.unsafe_get tags idx <> line then begin
-                let p = Cache.access_uncounted m.icache addr in
-                if p <> 0 then m.cycles <- m.cycles + p
-              end;
-              act ()
-        else if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let fa =
-        if raises then
-          fun () ->
-            m.blk_i <- i;
-            act ()
-        else act
-      in
-      let pr, fa =
-        if not traced then (pr, fa)
-        else
-          ( (fun () -> Trace.retire m.tr addr; pr ()),
-            fun () -> Trace.retire m.tr addr; fa () )
-      in
-      probed := pr :: !probed;
-      fastc := fa :: !fastc
-    in
-    let k = ref 0 in
-    let prev_line = ref min_int in
-    Array.iteri
-      (fun bi (p, all, has_term, n) ->
-        List.iteri
-          (fun j (raises, act) ->
-            let i = !k in
-            let addr = p + (4 * j) in
-            addrs.(i) <- addr;
-            let line = addr lsr shift in
-            push_insn i addr raises act (line <> !prev_line);
-            prev_line := line;
-            incr k)
-          all;
-        if bi < nb - 1 && has_term then begin
-          let expected = (fun (p, _, _, _) -> p) blks.(bi + 1) in
-          match static_jump_target p n with
-          | Some t when t = expected -> () (* guard provably never fires *)
-          | _ ->
-            let kk = !k in
-            let g () =
-              if m.nextpc <> expected then raise (Region_cache.Side_exit kk)
-            in
-            probed := g :: !probed;
-            fastc := g :: !fastc
-        end)
-      blks;
-    let commit =
-      let p_last, _, last_term, n_last = blks.(nb - 1) in
-      if last_term then
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.pc <- m.nextpc
-      else begin
-        let ft = p_last + (4 * n_last) in
-        fun () ->
-          m.insns <- m.insns + r_n;
-          m.nextpc <- ft;
-          m.pc <- ft
-      end
-    in
-    let r_run = seq (List.rev (commit :: !probed)) in
-    (* fast-pass tail: deferred commit via [Loop_exit] (see the MIPS
-       twin for the full commentary) *)
-    let fast_tail =
-      let _, _, last_term, _ = blks.(nb - 1) in
-      if last_term then
-        (fun () ->
-          m.insns <- m.insns + r_n;
-          if m.nextpc <> entry then raise Region_cache.Loop_exit)
-      else commit
-    in
-    let lines =
-      List.sort_uniq compare (Array.to_list (Array.map (fun a -> a lsr shift) addrs))
-    in
-    let fast_ok =
-      List.length (List.sort_uniq compare (List.map (fun l -> l land mask) lines))
-      = List.length lines
-    in
-    let r_fast = if fast_ok then seq (List.rev (fast_tail :: !fastc)) else r_run in
-    Some { r_entry = entry; r_n; r_spans = spans; r_run; r_fast; r_addrs = addrs }
-
-(* latency-instrumented entry points: the stopwatch brackets the whole
-   scan/trace-follow + closure compile + cache insert, feeding the
-   bc.compile_ns / rc.promote_ns distributions (no clock read when the
-   sink is disabled) *)
-let compile_block_timed m entry =
-  let t0 = Block_cache.compile_start m.bc in
-  let r = compile_block m entry in
-  Block_cache.compile_done m.bc t0;
-  r
-
-let promote m entry =
-  let t0 = Region_cache.promote_start m.rc in
-  (match compile_region m entry with
-  | Some r -> Region_cache.set m.rc entry ~insns:r.r_n r
-  | None -> Region_cache.mark_unpromotable m.rc entry);
-  Region_cache.promote_done m.rc t0
-
-let exec_region m (r : region) fuel0 =
-  Trace.mark m.tr Trace.Block_enter r.r_entry;
-  if Sim_probe.enabled m.probe then Sim_probe.region_exec m.probe ~entry:r.r_entry;
-  Block_cache.begin_block m.bc;
-  let fuel = ref fuel0 in
-  match
-    r.r_run ();
-    fuel := !fuel - r.r_n;
-    let entry = r.r_entry and rn = r.r_n and fast = r.r_fast in
-    while m.pc = entry && rn <= !fuel do
-      fast ();
-      fuel := !fuel - rn
-    done
-  with
-  | () -> !fuel
-  | exception Region_cache.Loop_exit ->
-    (* the raising fast pass ran to completion and credited itself;
-       perform its deferred commit *)
-    m.pc <- m.nextpc;
-    !fuel - r.r_n
-  | exception Region_cache.Side_exit k ->
-    m.insns <- m.insns + k;
-    Sim_probe.side_exit m.probe ~entry:r.r_entry ~i:k;
-    m.pc <- m.nextpc;
-    !fuel - k
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:r.r_entry ~i;
-    let a = r.r_addrs.(i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    !fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = r.r_addrs.(i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
-
-(* [exec_chain] for regions mode: identical block chaining plus the
-   tier-3 hooks — per-dispatch hotness counting (promoting on the
-   threshold crossing), successor-edge profiling after each clean
-   commit, and chaining into a resident region when one exists at the
-   next pc. *)
-let rec exec_chain_r m (b : block) fuel =
-  Trace.mark m.tr Trace.Block_enter b.entry;
-  if Sim_probe.enabled m.probe then begin
-    Sim_probe.block_exec m.probe ~entry:b.entry;
-    Block_cache.note_exec m.bc b.entry
-  end;
-  if Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
-  Block_cache.begin_block m.bc;
-  match b.run () with
-  | () ->
-    let fuel = fuel - b.n in
-    if m.pc = halt_addr then fuel
-    else begin
-      Region_cache.note_succ m.rc b.entry m.pc;
-      match Region_cache.find m.rc m.pc with
-      | Some r when r.r_n <= fuel -> exec_region m r fuel
-      | _ ->
-        if m.pc = b.entry && b.n <= fuel then exec_chain_r m b fuel
-        else (
-          match Block_cache.find m.bc m.pc with
-          | Some nb when nb.n <= fuel -> exec_chain_r m nb fuel
-          | _ -> fuel)
-    end
-  | exception Block_cache.Retired ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    Sim_probe.abort m.probe ~entry:b.entry ~i;
-    let a = b.entry + (4 * i) in
-    m.nextpc <- a + 4;
-    m.pc <- a + 4;
-    fuel - (i + 1)
-  | exception e ->
-    let i = m.blk_i in
-    m.insns <- m.insns + i + 1;
-    let a = b.entry + (4 * i) in
-    m.pc <- a;
-    m.nextpc <- a + 4;
-    raise e
-
-let default_fuel = 200_000_000
-
-(* Tight tail-recursive loop: the fuel check is a register countdown
-   rather than a per-step ref increment/compare. *)
-(* single-step with exact cycle accounting (the public interface) *)
-let step m =
-  let mi0 = Cache.misses m.icache in
-  (let p = Cache.access_uncounted m.icache m.pc in
-   if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr m.pc;
-  step_inner m m.pc;
-  m.cycles <- m.cycles + 1;
-  Cache.add_hits m.icache (1 - (Cache.misses m.icache - mi0))
-
-(* [step_inner] defers the 1-cycle-per-instruction component of the
-   accounting to its caller; [run] adds it in bulk at exit from the
-   instruction-count delta, so the hot loop carries one counter update
-   less per step.  Totals are exact whenever [run] returns or raises. *)
-(* The icache tag probe is inlined here with its geometry held in
-   parameters (registers), falling back to the full model only on a
-   miss; [run] reconciles the hit counter at exit from the retired-
-   instruction delta, since a fetch loop performs exactly one icache
-   access per retired instruction. *)
-let rec run_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    let line = pc lsr shift in
-    if Array.unsafe_get tags (line land mask) <> line then
-      (let p = Cache.access_uncounted m.icache pc in
-       if p <> 0 then m.cycles <- m.cycles + p);
-    Trace.retire m.tr pc;
-    step_inner m pc;
-    run_go m tags shift mask (fuel - 1)
-  end
-
-(* one interpreted step inside the block-dispatch loop (cold path:
-   block-cache miss on an uncompilable word, or a block too long for
-   the remaining fuel) *)
-let step_one m tags shift mask pc =
-  let line = pc lsr shift in
-  if Array.unsafe_get tags (line land mask) <> line then
-    (let p = Cache.access_uncounted m.icache pc in
-     if p <> 0 then m.cycles <- m.cycles + p);
-  Trace.retire m.tr pc;
-  step_inner m pc
-
-(* Block-dispatching twin of [run_go]: execute resident compiled blocks
-   (chaining block-to-block inside [exec_chain]), compile on first
-   touch, and fall back to single-stepping where no block applies.
-   Fault points, retirement counts and cycle accounting are identical
-   to [run_go] by construction. *)
-let rec run_blocks_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    match Block_cache.find m.bc pc with
-    | Some b ->
-      if b.n <= fuel then begin
-        let fuel = exec_chain m b fuel in
-        Sim_probe.chain_flush m.probe;
-        run_blocks_go m tags shift mask fuel
-      end
-      else begin
-        step_one m tags shift mask pc;
-        run_blocks_go m tags shift mask (fuel - 1)
-      end
-    | None -> (
-      match compile_block_timed m pc with
-      | Some b ->
-        Block_cache.set m.bc pc b;
-        run_blocks_go m tags shift mask fuel
-      | None ->
-        step_one m tags shift mask pc;
-        run_blocks_go m tags shift mask (fuel - 1))
-  end
-
-(* Region-dispatch run loop: [run_blocks_go] with a region probe ahead
-   of the block probe, and chaining through [exec_chain_r] so hotness
-   and successor profiles accumulate.  Fuel discipline is unchanged —
-   a region pass only runs when it fits whole, and when it does not,
-   dispatch falls through to the identical block/interpreter ladder. *)
-let rec run_regions_go m tags shift mask fuel =
-  let pc = m.pc in
-  if pc <> halt_addr then begin
-    if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-    match Region_cache.find m.rc pc with
-    | Some r when r.r_n <= fuel ->
-      let fuel = exec_region m r fuel in
-      Sim_probe.chain_flush m.probe;
-      run_regions_go m tags shift mask fuel
-    | _ -> (
-      match Block_cache.find m.bc pc with
-      | Some b ->
-        if b.n <= fuel then begin
-          let fuel = exec_chain_r m b fuel in
-          Sim_probe.chain_flush m.probe;
-          run_regions_go m tags shift mask fuel
-        end
-        else begin
-          step_one m tags shift mask pc;
-          run_regions_go m tags shift mask (fuel - 1)
-        end
-      | None -> (
-        match compile_block_timed m pc with
-        | Some b ->
-          Block_cache.set m.bc pc b;
-          run_regions_go m tags shift mask fuel
-        | None ->
-          step_one m tags shift mask pc;
-          run_regions_go m tags shift mask (fuel - 1)))
-  end
-
-let run ?(fuel = default_fuel) m =
-  let i0 = m.insns in
-  let mi0 = Cache.misses m.icache in
-  let t0 = Sim_probe.run_start m.probe in
-  let finish () =
-    let retired = m.insns - i0 in
-    m.cycles <- m.cycles + retired;
-    Cache.add_hits m.icache (retired - (Cache.misses m.icache - mi0));
-    Sim_probe.chain_flush m.probe;
-    Sim_probe.retired m.probe retired;
-    Sim_probe.run_done m.probe t0
-  in
-  let tags, shift, mask = Cache.probe m.icache in
-  let go =
-    if m.regions then run_regions_go
-    else if m.blocks then run_blocks_go
-    else run_go
-  in
-  (try go m tags shift mask fuel
-   with e ->
-     finish ();
-     Sim_probe.fault m.probe ~pc:m.pc;
-     raise e);
-  finish ()
+  (* no delay slots, so no padding nops worth eliding *)
+  let is_nop (_ : insn) = false
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Harness: args in r3-r10 / f1-f8 by class; further args on the stack
@@ -1179,14 +551,15 @@ type arg = Int of int | Single of float | Double of float
 
 let arg_base = 8
 
-let place_args m ~sp args =
+let place_args (m : t) ~sp args =
+  let st = m.arch in
   let islot = ref 0 and fslot = ref 0 and stack = ref 0 in
   List.iter
     (fun a ->
       match a with
       | Int v ->
         if !islot < 8 then begin
-          set m (3 + !islot) v;
+          set st (3 + !islot) v;
           incr islot
         end
         else begin
@@ -1196,7 +569,7 @@ let place_args m ~sp args =
       | Single v | Double v ->
         let v = match a with Single v -> single v | _ -> v in
         if !fslot < 8 then begin
-          set_fval m (1 + !fslot) v;
+          set_fval st (1 + !fslot) v;
           incr fslot
         end
         else begin
@@ -1206,31 +579,19 @@ let place_args m ~sp args =
         end)
     args
 
-let call ?fuel m ~entry args =
-  let sp = m.stack_top land lnot 7 in
-  set m 1 sp;
-  m.lr <- halt_addr;
+let call ?fuel (m : t) ~entry args =
+  let st = m.arch in
+  let sp = st.stack_top land lnot 7 in
+  set st 1 sp;
+  st.lr <- halt_addr;
   place_args m ~sp args;
   m.pc <- entry;
   run ?fuel m
 
-let ret_int m = m.regs.(3)
-let ret_double m = fval m 1
-let ret_single m = fval m 1
+let ret_int (m : t) = m.arch.regs.(3)
+let ret_double (m : t) = fval m.arch 1
+let ret_single (m : t) = fval m.arch 1
 
-let reset_stats m =
-  m.cycles <- 0;
-  m.insns <- 0;
-  Cache.reset_stats m.icache;
-  Cache.reset_stats m.dcache
-
-(* Models v_end's icache invalidation: drop both the timing caches and
-   every predecoded instruction.  (The predecode drop is belt-and-braces
-   — the write watcher already keeps it coherent — and costs nothing on
-   the simulated clock.) *)
-let flush_caches m =
-  Cache.flush m.icache;
-  Cache.flush m.dcache;
-  Decode_cache.clear m.pdc;
-  Block_cache.clear m.bc;
-  Region_cache.clear m.rc
+let call_ints ?fuel m ~entry vals =
+  call ?fuel m ~entry (List.map (fun v -> Int v) vals);
+  ret_int m

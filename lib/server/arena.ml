@@ -8,6 +8,7 @@
 module Tel = Vmachine.Telemetry
 
 let class_sizes = [| 32; 64; 128; 256; 512; 1024 |]
+let max_words = class_sizes.(Array.length class_sizes - 1)
 
 type class_state = {
   size : int;

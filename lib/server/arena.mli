@@ -23,6 +23,9 @@ type t
     two words so slab starts stay 8-byte aligned *)
 val class_sizes : int array
 
+(** the largest class: a request for more words can never be placed *)
+val max_words : int
+
 (** [create ?tel ~base ~limit ()] manages the byte window
     [\[base, limit)].  [base] must be 8-aligned.  Counters and the
     allocation-size distribution are registered under ["server.arena"]

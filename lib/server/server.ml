@@ -14,6 +14,8 @@ open Vcodebase
 module Mem = Vmachine.Mem
 module Tel = Vmachine.Telemetry
 
+exception Oversize of int
+
 module Make (T : Target.S) = struct
   module DP = Dpf.Make (T)
 
@@ -253,6 +255,11 @@ module Make (T : Target.S) = struct
      land in replace_ns, keeping the replace tail separable. *)
   let install_common t ?buf ?(pending = 1) ~key (f : Dpf.Filter.t) =
     let t0 = Tel.timer_start t.tel in
+    (* a region beyond the largest slab class can never be placed: refuse
+       it before the replace-drop and before any capacity eviction *)
+    let fits words = if words > Arena.max_words then raise (Oversize words) in
+    let est = estimate_words f in
+    fits est;
     let replaced =
       match Hashtbl.find_opt (shard t key) key with
       | Some r ->
@@ -268,7 +275,7 @@ module Make (T : Target.S) = struct
         ()
       done
     | None -> ());
-    let addr, slab = alloc_evicting ~pending t ~words:(estimate_words f) in
+    let addr, slab = alloc_evicting ~pending t ~words:est in
     let c = compile_at t ?buf ~base:addr f in
     let words = Codebuf.length c.Dpf.code.Vcode.gen.Gen.buf in
     (* on underestimate: return the slab and recompile into one that
@@ -278,6 +285,7 @@ module Make (T : Target.S) = struct
       if words <= slab then (addr, slab, c, words)
       else begin
         Arena.free t.arena addr;
+        fits words;
         let addr', slab' = alloc_evicting ~pending t ~words in
         let c' = compile_at t ?buf ~base:addr' f in
         let words' = Codebuf.length c'.Dpf.code.Vcode.gen.Gen.buf in

@@ -21,6 +21,13 @@
     a sharded hash table; hotness for eviction comes from per-region
     lookup counts, the same signal the telemetry layer reports. *)
 
+(** Raised by an install whose region needs more code words (the
+    payload) than {!Arena.max_words}, the largest slab class.  It is
+    raised before anything is evicted and, when the size estimate
+    already exceeds the limit, before a replaced key's region is
+    dropped: the registry is left as it was. *)
+exception Oversize of int
+
 module Make (T : Vcodebase.Target.S) : sig
   module DP : module type of Dpf.Make (T)
 
@@ -69,6 +76,9 @@ module Make (T : Vcodebase.Target.S) : sig
       under [key] is evicted first (its slab is scrubbed through the
       watcher protocol before reuse).  Each call pays a fresh
       code-buffer allocation — the unbatched baseline.
+      @raise Oversize when the filter's region exceeds the largest slab
+      class (only a size estimate that fits but a compiled region that
+      does not can lose a replaced key's old region)
       @raise Failure when the filter cannot fit even after evicting
       every other region *)
   val install : t -> key:int -> Dpf.Filter.t -> int

@@ -192,6 +192,37 @@ let test_server_capacity_eviction () =
       | None -> Alcotest.fail "survivor missing")
     [ 1; 2; 3 ]
 
+(* An install whose region can never fit a slab class must be refused
+   before it touches the registry: with 50 tenants resident, a 300-atom
+   filter under an existing key raises [Oversize], every tenant stays
+   (none is capacity-evicted), and the replaced key's old filter still
+   classifies. *)
+let test_server_oversize_refused () =
+  let m = mk_machine () in
+  let sv = SV.create m.S.mem in
+  for k = 0 to 49 do
+    ignore (SV.install sv ~key:k (filter_for ~fid:(100 + k) ~port:(2000 + k)) : int)
+  done;
+  let huge =
+    Filter.make ~fid:999
+      (List.init 300 (fun i ->
+           Filter.Cmp { offset = i mod 40; size = 1; mask = 0xFF; value = i land 0xFF }))
+  in
+  (match SV.install sv ~key:7 huge with
+  | _ -> Alcotest.fail "oversize install accepted"
+  | exception Vserver.Server.Oversize words ->
+    check Alcotest.bool "reports the words over the largest class" true (words > A.max_words));
+  check Alcotest.int "all tenants remain" 50 (SV.live sv);
+  check Alcotest.int "nothing evicted" 0 (SV.stats sv).SV.capacity_evictions;
+  List.iter
+    (fun k ->
+      match SV.find sv k with
+      | Some i ->
+        check Alcotest.int "tenant still classifies" (100 + k)
+          (classify m ~entry:i.SV.entry ~port:(2000 + k))
+      | None -> Alcotest.fail (Printf.sprintf "tenant %d lost" k))
+    (List.init 50 Fun.id)
+
 (* The batched queue's bulk eviction (one scan clears the chunk's worth
    of coldest regions) must pick exactly the set that one-at-a-time
    coldest eviction would: same resident keys afterwards. *)
@@ -406,6 +437,7 @@ let () =
           Alcotest.test_case "capacity eviction" `Quick test_server_capacity_eviction;
           Alcotest.test_case "bulk eviction policy" `Quick test_server_bulk_eviction_policy;
           Alcotest.test_case "max_live cap" `Quick test_server_max_live;
+          Alcotest.test_case "oversize install refused" `Quick test_server_oversize_refused;
         ] );
       ( "eviction-lifetime",
         [ Alcotest.test_case "four-mode lockstep fuzz" `Quick test_lockstep_fuzz ] );
