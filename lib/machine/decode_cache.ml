@@ -3,12 +3,13 @@
    Every simulator used to re-read the instruction word from {!Mem} and
    re-run its target's [decode] on every simulated cycle, allocating a
    fresh decoded-instruction value each time.  This module memoizes the
-   decode by code address: a word-indexed array maps addresses to
-   already-decoded instructions, filled lazily on first fetch and
-   consulted before [decode] on every later one.  This is the
-   translation-cache discipline of real binary-execution engines — the
-   decoded form is a pure function of the word in memory, so an entry is
-   valid exactly until that word is overwritten.
+   decode by code address: a word-indexed array maps addresses to a
+   value computed from the word (the engine stores the instruction's
+   compiled closure), filled lazily on first fetch and consulted before
+   [decode] on every later one.  This is the translation-cache
+   discipline of real binary-execution engines — the cached form is a
+   pure function of the word in memory, so an entry is valid exactly
+   until that word is overwritten.
 
    Invalidation: the owning simulator registers
    [invalidate] as its memory's write watcher (see
@@ -25,8 +26,13 @@
    higher code addresses are predecoded, so short-lived simulators (unit
    tests create thousands) don't pay for a full-memory table. *)
 
+(* Slots hold the values themselves, with [empty] marking a miss: no
+   [Some] block per entry, so a fill allocates nothing here and the GC
+   promotes only the cached value.  Every other slot holds a value of
+   the cache's own ['a] — [set] is the only writer — which is what makes
+   the [Obj] conversions below sound. *)
 type 'a t = {
-  mutable slots : 'a option array; (* index = byte address / 4 *)
+  mutable slots : Obj.t array; (* index = byte address / 4 *)
   limit_words : int;               (* memory size / 4: growth ceiling *)
   mutable lo : int;                (* byte-address bounds of filled    *)
   mutable hi : int;                (*   entries: [lo, hi), conservative *)
@@ -40,13 +46,15 @@ type 'a t = {
   c_invals : Telemetry.counter;
 }
 
+let empty : Obj.t = Obj.repr (ref 0) (* physically distinct from any stored value *)
+
 let initial_words = 4096 (* covers 16KB of code before the first growth *)
 
 let create ?(tel = Telemetry.disabled) ?(trace = Trace.disabled) ?(name = "pdc")
     ~mem_bytes () =
   let limit_words = (mem_bytes + 3) / 4 in
   {
-    slots = Array.make (min initial_words limit_words) None;
+    slots = Array.make (min initial_words limit_words) empty;
     limit_words;
     lo = max_int;
     hi = 0;
@@ -69,8 +77,18 @@ let create ?(tel = Telemetry.disabled) ?(trace = Trace.disabled) ?(name = "pdc")
    while instructions retire (see test/test_decode_cache.ml). *)
 let[@inline] find t addr =
   let idx = addr lsr 2 in (* negative addr -> huge idx -> miss *)
-  if addr land 3 = 0 && idx < Array.length t.slots then Array.unsafe_get t.slots idx
+  if addr land 3 = 0 && idx < Array.length t.slots then
+    let v = Array.unsafe_get t.slots idx in
+    if v == empty then None else Some (Obj.obj v)
   else None
+
+(* [find] without the [Some]: the hot-path lookup *)
+let[@inline] find_or t addr default =
+  let idx = addr lsr 2 in
+  if addr land 3 = 0 && idx < Array.length t.slots then
+    let v = Array.unsafe_get t.slots idx in
+    if v == empty then default else Obj.obj v
+  else default
 
 let grow t needed_idx =
   let cur = Array.length t.slots in
@@ -80,7 +98,7 @@ let grow t needed_idx =
   done;
   let n = min !target t.limit_words in
   if n > cur then begin
-    let slots = Array.make n None in
+    let slots = Array.make n empty in
     Array.blit t.slots 0 slots 0 cur;
     t.slots <- slots
   end
@@ -92,7 +110,7 @@ let set t addr insn =
   let idx = addr lsr 2 in
   if idx < t.limit_words then begin
     if idx >= Array.length t.slots then grow t idx;
-    t.slots.(idx) <- Some insn;
+    t.slots.(idx) <- Obj.repr insn;
     if addr < t.lo then t.lo <- addr;
     if addr + 4 > t.hi then t.hi <- addr + 4;
     t.fills <- t.fills + 1;
@@ -112,7 +130,7 @@ let invalidate t addr len =
     let w1 = min ((addr + len - 1) lsr 2) ((t.hi - 1) lsr 2) in
     let w1 = min w1 (Array.length t.slots - 1) in
     for w = w0 to w1 do
-      t.slots.(w) <- None
+      t.slots.(w) <- empty
     done
   end
 
@@ -124,7 +142,7 @@ let clear t =
     Telemetry.event t.tel Telemetry.Cache_invalidate ~a:t.lo ~b:(t.hi - t.lo);
     let w1 = min ((t.hi - 1) lsr 2) (Array.length t.slots - 1) in
     for w = t.lo lsr 2 to w1 do
-      t.slots.(w) <- None
+      t.slots.(w) <- empty
     done
   end;
   t.lo <- max_int;

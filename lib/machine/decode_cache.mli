@@ -1,9 +1,10 @@
 (** A predecoded-instruction cache shared by the CPU simulators.
 
-    Maps word-aligned code addresses to already-decoded instructions so
-    a simulator's hot loop decodes each instruction word once instead of
-    on every simulated cycle.  Polymorphic over the per-target decoded
-    instruction type.
+    Maps word-aligned code addresses to a value computed from the
+    instruction word there — the engine caches each word's compiled
+    instruction closure — so a simulator's hot loop decodes each word
+    once instead of on every simulated cycle.  Polymorphic over the
+    cached value.
 
     Correctness contract: an entry is valid exactly until the underlying
     word changes.  The owning simulator registers {!invalidate} as its
@@ -34,6 +35,11 @@ val create :
     with {!set}).  Misaligned or out-of-range addresses always miss, so
     the fetch path keeps its exact fault behaviour. *)
 val find : 'a t -> int -> 'a option
+
+(** [find_or t addr default] is the cached value at [addr], or [default]
+    on a miss: [find] without allocating an option, for the per-step
+    lookup. *)
+val find_or : 'a t -> int -> 'a -> 'a
 
 (** [set t addr insn] records the decode of the word at [addr].
     Addresses outside the covered range are ignored. *)

@@ -76,465 +76,239 @@ let[@inline] daccess m addr =
 (* write-through: always 0 penalty, but the hit/miss stats must tick *)
 let[@inline] waccess m addr = ignore (Cache.write_access m.dcache addr : int)
 
-(* Decode the word at [pc], consulting the predecode cache first.  The
-   miss path preserves the uncached fault behaviour exactly (Mem.Fault
-   on a wild or misaligned pc, Machine_error on an illegal word). *)
-let fetch m pc =
-  match Decode_cache.find m.pdc pc with
-  | Some i -> i
-  | None ->
-    let w = Mem.read_u32 m.mem pc in
-    let insn = try Mips_asm.decode w with Mips_asm.Bad_insn _ ->
-      raise (Machine_error (Printf.sprintf "illegal instruction 0x%08x at 0x%x" w pc))
-    in
-    if m.predecode then Decode_cache.set m.pdc pc insn;
-    insn
-
-let[@inline] branch m pc off taken =
-  if taken then m.btarget <- pc + 4 + (4 * off)
-
-(* Execute one instruction.  Returns unit; updates pc/npc.
-   The caller is responsible for the icache timing access on [m.pc]
-   (the engine's [run_go]/[step]): doing it in the small run loop rather
-   than in this large function keeps its register pressure out of every
-   arm. *)
-let step_inner (m : t) =
-  let pc = m.pc in
-  let st = m.arch in
-  m.insns <- m.insns + 1;
-  let insn = fetch m pc in
-  let next = m.npc in
-  m.btarget <- next + 4;
-  (match insn with
-  | Nop -> ()
-  | Sll (rd, rt, sh) -> set_reg st rd (rget st rt lsl sh)
-  | Srl (rd, rt, sh) -> set_reg st rd (u32 (rget st rt) lsr sh)
-  | Sra (rd, rt, sh) -> set_reg st rd (rget st rt asr sh)
-  | Sllv (rd, rt, rs) -> set_reg st rd (rget st rt lsl (rget st rs land 31))
-  | Srlv (rd, rt, rs) -> set_reg st rd (u32 (rget st rt) lsr (rget st rs land 31))
-  | Srav (rd, rt, rs) -> set_reg st rd (rget st rt asr (rget st rs land 31))
-  | Jr rs -> m.btarget <- u32 (rget st rs)
-  | Jalr (rd, rs) ->
-    set_reg st rd (pc + 8);
-    m.btarget <- u32 (rget st rs)
-  | Mfhi rd -> set_reg st rd st.hi
-  | Mflo rd -> set_reg st rd st.lo
-  | Mult (rs, rt) ->
-    m.cycles <- m.cycles + 11;
-    let p = Int64.mul (Int64.of_int (rget st rs)) (Int64.of_int (rget st rt)) in
-    st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-    st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
-  | Multu (rs, rt) ->
-    m.cycles <- m.cycles + 11;
-    let p = Int64.mul (Int64.of_int (u32 (rget st rs))) (Int64.of_int (u32 (rget st rt))) in
-    st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-    st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
-  | Div (rs, rt) ->
-    m.cycles <- m.cycles + 34;
-    let a = rget st rs and b = rget st rt in
-    if b = 0 then begin st.lo <- 0; st.hi <- 0 end
-    else begin
-      (* C-style truncating division *)
-      let q = if (a < 0) <> (b < 0) then -(abs a / abs b) else abs a / abs b in
-      let rm = a - (q * b) in
-      st.lo <- sext32 q;
-      st.hi <- sext32 rm
-    end
-  | Divu (rs, rt) ->
-    m.cycles <- m.cycles + 34;
-    let a = u32 (rget st rs) and b = u32 (rget st rt) in
-    if b = 0 then begin st.lo <- 0; st.hi <- 0 end
-    else begin
-      st.lo <- sext32 (a / b);
-      st.hi <- sext32 (a mod b)
-    end
-  | Addu (rd, rs, rt) -> set_reg st rd (rget st rs + rget st rt)
-  | Subu (rd, rs, rt) -> set_reg st rd (rget st rs - rget st rt)
-  | And (rd, rs, rt) -> set_reg st rd (rget st rs land rget st rt)
-  | Or (rd, rs, rt) -> set_reg st rd (rget st rs lor rget st rt)
-  | Xor (rd, rs, rt) -> set_reg st rd (rget st rs lxor rget st rt)
-  | Nor (rd, rs, rt) -> set_reg st rd (lnot (rget st rs lor rget st rt))
-  | Slt (rd, rs, rt) -> set_reg st rd (if rget st rs < rget st rt then 1 else 0)
-  | Sltu (rd, rs, rt) -> set_reg st rd (if u32 (rget st rs) < u32 (rget st rt) then 1 else 0)
-  | Addiu (rt, rs, i) -> set_reg st rt (rget st rs + i)
-  | Slti (rt, rs, i) -> set_reg st rt (if rget st rs < i then 1 else 0)
-  | Sltiu (rt, rs, i) -> set_reg st rt (if u32 (rget st rs) < u32 (sext32 i) then 1 else 0)
-  | Andi (rt, rs, i) -> set_reg st rt (rget st rs land i)
-  | Ori (rt, rs, i) -> set_reg st rt (rget st rs lor i)
-  | Xori (rt, rs, i) -> set_reg st rt (rget st rs lxor i)
-  | Lui (rt, i) -> set_reg st rt (i lsl 16)
-  | J t -> m.btarget <- (u32 (pc + 4) land 0xF0000000) lor (t * 4)
-  | Jal t ->
-    set_reg st 31 (pc + 8);
-    m.btarget <- (u32 (pc + 4) land 0xF0000000) lor (t * 4)
-  | Beq (rs, rt, off) -> branch m pc off (rget st rs = rget st rt)
-  | Bne (rs, rt, off) -> branch m pc off (rget st rs <> rget st rt)
-  | Blez (rs, off) -> branch m pc off (rget st rs <= 0)
-  | Bgtz (rs, off) -> branch m pc off (rget st rs > 0)
-  | Bltz (rs, off) -> branch m pc off (rget st rs < 0)
-  | Bgez (rs, off) -> branch m pc off (rget st rs >= 0)
-  | Lb (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    let v = Mem.read_u8 m.mem a in
-    set_reg st rt (if v land 0x80 <> 0 then v - 0x100 else v)
-  | Lbu (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    set_reg st rt (Mem.read_u8 m.mem a)
-  | Lh (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    let v = Mem.read_u16 m.mem a in
-    set_reg st rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
-  | Lhu (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    set_reg st rt (Mem.read_u16 m.mem a)
-  | Lw (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    set_reg st rt (Mem.read_u32 m.mem a)
-  | Sb (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    waccess m a;
-    Mem.write_u8 m.mem a (rget st rt)
-  | Sh (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    waccess m a;
-    Mem.write_u16 m.mem a (rget st rt)
-  | Sw (rt, b, o) ->
-    let a = u32 (rget st b) + o in
-    waccess m a;
-    Mem.write_u32 m.mem a (u32 (rget st rt))
-  | Lwc1 (ft, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    st.fregs.(ft) <- Mem.read_u32 m.mem a
-  | Swc1 (ft, b, o) ->
-    let a = u32 (rget st b) + o in
-    waccess m a;
-    Mem.write_u32 m.mem a st.fregs.(ft)
-  | Ldc1 (ft, b, o) ->
-    let a = u32 (rget st b) + o in
-    daccess m a;
-    st.fregs.(ft) <- Mem.read_u32 m.mem a;
-    st.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4)
-  | Sdc1 (ft, b, o) ->
-    let a = u32 (rget st b) + o in
-    waccess m a;
-    Mem.write_u32 m.mem a st.fregs.(ft);
-    Mem.write_u32 m.mem (a + 4) st.fregs.(ft + 1)
-  | Mtc1 (rt, fs) -> st.fregs.(fs) <- u32 (rget st rt)
-  | Mfc1 (rt, fs) -> set_reg st rt st.fregs.(fs)
-  | Fadd (fmt, fd, fs, ft) ->
-    m.cycles <- m.cycles + 1;
-    set_fmt st fmt fd (get_fmt st fmt fs +. get_fmt st fmt ft)
-  | Fsub (fmt, fd, fs, ft) ->
-    m.cycles <- m.cycles + 1;
-    set_fmt st fmt fd (get_fmt st fmt fs -. get_fmt st fmt ft)
-  | Fmul (fmt, fd, fs, ft) ->
-    m.cycles <- m.cycles + (match fmt with FS -> 3 | _ -> 4);
-    set_fmt st fmt fd (get_fmt st fmt fs *. get_fmt st fmt ft)
-  | Fdiv (fmt, fd, fs, ft) ->
-    m.cycles <- m.cycles + (match fmt with FS -> 11 | _ -> 18);
-    set_fmt st fmt fd (get_fmt st fmt fs /. get_fmt st fmt ft)
-  | Fsqrt (fmt, fd, fs) ->
-    m.cycles <- m.cycles + (match fmt with FS -> 13 | _ -> 25);
-    set_fmt st fmt fd (sqrt (get_fmt st fmt fs))
-  | Fabs (fmt, fd, fs) -> set_fmt st fmt fd (abs_float (get_fmt st fmt fs))
-  | Fmov (fmt, fd, fs) -> (
-    match fmt with
-    | FS | FW -> st.fregs.(fd) <- st.fregs.(fs)
-    | FD ->
-      st.fregs.(fd) <- st.fregs.(fs);
-      st.fregs.(fd + 1) <- st.fregs.(fs + 1))
-  | Fneg (fmt, fd, fs) -> set_fmt st fmt fd (-.get_fmt st fmt fs)
-  | Truncw (fmt, fd, fs) ->
-    let v = get_fmt st fmt fs in
-    st.fregs.(fd) <- u32 (int_of_float (Float.trunc v))
-  | Cvt (to_, from, fd, fs) ->
-    let v = get_fmt st from fs in
-    set_fmt st to_ fd v
-  | Fcmp (c, fmt, fs, ft) ->
-    let a = get_fmt st fmt fs and b = get_fmt st fmt ft in
-    st.fcc <- (match c with CEq -> a = b | CLt -> a < b | CLe -> a <= b)
-  | Bc1t off -> branch m pc off st.fcc
-  | Bc1f off -> branch m pc off (not st.fcc)
-  | Break code -> raise (Machine_error (Printf.sprintf "break %d at 0x%x" code pc)));
-  m.pc <- next;
-  m.npc <- m.btarget
+(* the target of [j]/[jal] at [pc]: a word index within the 256MB
+   region of the delay slot *)
+let jump_target pc t = (u32 (pc + 4) land 0xF0000000) lor (t * 4)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled actions for the superblock and region tiers of
-   {!Vmachine.Engine}.  Each closure replicates its [step_inner] arm
-   exactly — same arithmetic, same memory-access order, same cycle
-   surcharges — so a compiled run retires with the same architectural
-   state and timing as the interpreter. *)
-
-(* Compiled action for one *body* (non-control) instruction; [None]
-   when the instruction terminates a block (branches/jumps compile via
-   [term_of]; Break never compiles, so the interpreter raises on it).
-   Store closures test the block cache's dirty flag after writing: a
-   store that invalidated a resident block — possibly the very one
-   running — aborts the rest of the run with [Block_cache.Retired]. *)
-let act_of (m : t) (insn : insn) : (unit -> unit) option =
+(* The instruction semantics: [sem m pc ft insn] is the closure that
+   executes [insn] at [pc] on every tier of {!Vmachine.Engine}.  A
+   control transfer leaves its target in [m.btarget], or [ft] when an
+   untaken branch falls through; the delay slot runs next and the
+   engine moves btarget into pc.  Store closures test the block cache's
+   dirty flag after writing: a store that invalidated a resident block —
+   possibly the very one running — aborts the rest of the run with
+   [Block_cache.Retired]. *)
+let sem (m : t) pc ft (insn : insn) : unit -> unit =
   let st = m.arch in
   match insn with
-  | Nop -> Some (fun () -> ())
-  | Sll (rd, rt, sh) -> Some (fun () -> set_reg st rd (rget st rt lsl sh))
-  | Srl (rd, rt, sh) -> Some (fun () -> set_reg st rd (u32 (rget st rt) lsr sh))
-  | Sra (rd, rt, sh) -> Some (fun () -> set_reg st rd (rget st rt asr sh))
-  | Sllv (rd, rt, rs) -> Some (fun () -> set_reg st rd (rget st rt lsl (rget st rs land 31)))
-  | Srlv (rd, rt, rs) -> Some (fun () -> set_reg st rd (u32 (rget st rt) lsr (rget st rs land 31)))
-  | Srav (rd, rt, rs) -> Some (fun () -> set_reg st rd (rget st rt asr (rget st rs land 31)))
-  | Mfhi rd -> Some (fun () -> set_reg st rd st.hi)
-  | Mflo rd -> Some (fun () -> set_reg st rd st.lo)
+  | Nop -> fun () -> ()
+  | Sll (rd, rt, sh) -> fun () -> set_reg st rd (rget st rt lsl sh)
+  | Srl (rd, rt, sh) -> fun () -> set_reg st rd (u32 (rget st rt) lsr sh)
+  | Sra (rd, rt, sh) -> fun () -> set_reg st rd (rget st rt asr sh)
+  | Sllv (rd, rt, rs) -> fun () -> set_reg st rd (rget st rt lsl (rget st rs land 31))
+  | Srlv (rd, rt, rs) -> fun () -> set_reg st rd (u32 (rget st rt) lsr (rget st rs land 31))
+  | Srav (rd, rt, rs) -> fun () -> set_reg st rd (rget st rt asr (rget st rs land 31))
+  | Mfhi rd -> fun () -> set_reg st rd st.hi
+  | Mflo rd -> fun () -> set_reg st rd st.lo
   | Mult (rs, rt) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 11;
-        let p = Int64.mul (Int64.of_int (rget st rs)) (Int64.of_int (rget st rt)) in
-        st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-        st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
+    fun () ->
+      m.cycles <- m.cycles + 11;
+      let p = Int64.mul (Int64.of_int (rget st rs)) (Int64.of_int (rget st rt)) in
+      st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+      st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
   | Multu (rs, rt) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 11;
-        let p = Int64.mul (Int64.of_int (u32 (rget st rs))) (Int64.of_int (u32 (rget st rt))) in
-        st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
-        st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL)))
+    fun () ->
+      m.cycles <- m.cycles + 11;
+      let p = Int64.mul (Int64.of_int (u32 (rget st rs))) (Int64.of_int (u32 (rget st rt))) in
+      st.lo <- sext32 (Int64.to_int (Int64.logand p 0xFFFFFFFFL));
+      st.hi <- sext32 (Int64.to_int (Int64.logand (Int64.shift_right_logical p 32) 0xFFFFFFFFL))
   | Div (rs, rt) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 34;
-        let a = rget st rs and b = rget st rt in
-        if b = 0 then begin st.lo <- 0; st.hi <- 0 end
-        else begin
-          let q = if (a < 0) <> (b < 0) then -(abs a / abs b) else abs a / abs b in
-          let rm = a - (q * b) in
-          st.lo <- sext32 q;
-          st.hi <- sext32 rm
-        end)
+    fun () ->
+      m.cycles <- m.cycles + 34;
+      let a = rget st rs and b = rget st rt in
+      if b = 0 then begin st.lo <- 0; st.hi <- 0 end
+      else begin
+        (* C-style truncating division *)
+        let q = if (a < 0) <> (b < 0) then -(abs a / abs b) else abs a / abs b in
+        let rm = a - (q * b) in
+        st.lo <- sext32 q;
+        st.hi <- sext32 rm
+      end
   | Divu (rs, rt) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 34;
-        let a = u32 (rget st rs) and b = u32 (rget st rt) in
-        if b = 0 then begin st.lo <- 0; st.hi <- 0 end
-        else begin
-          st.lo <- sext32 (a / b);
-          st.hi <- sext32 (a mod b)
-        end)
-  | Addu (rd, rs, rt) -> Some (fun () -> set_reg st rd (rget st rs + rget st rt))
-  | Subu (rd, rs, rt) -> Some (fun () -> set_reg st rd (rget st rs - rget st rt))
-  | And (rd, rs, rt) -> Some (fun () -> set_reg st rd (rget st rs land rget st rt))
-  | Or (rd, rs, rt) -> Some (fun () -> set_reg st rd (rget st rs lor rget st rt))
-  | Xor (rd, rs, rt) -> Some (fun () -> set_reg st rd (rget st rs lxor rget st rt))
-  | Nor (rd, rs, rt) -> Some (fun () -> set_reg st rd (lnot (rget st rs lor rget st rt)))
-  | Slt (rd, rs, rt) -> Some (fun () -> set_reg st rd (if rget st rs < rget st rt then 1 else 0))
+    fun () ->
+      m.cycles <- m.cycles + 34;
+      let a = u32 (rget st rs) and b = u32 (rget st rt) in
+      if b = 0 then begin st.lo <- 0; st.hi <- 0 end
+      else begin
+        st.lo <- sext32 (a / b);
+        st.hi <- sext32 (a mod b)
+      end
+  | Addu (rd, rs, rt) -> fun () -> set_reg st rd (rget st rs + rget st rt)
+  | Subu (rd, rs, rt) -> fun () -> set_reg st rd (rget st rs - rget st rt)
+  | And (rd, rs, rt) -> fun () -> set_reg st rd (rget st rs land rget st rt)
+  | Or (rd, rs, rt) -> fun () -> set_reg st rd (rget st rs lor rget st rt)
+  | Xor (rd, rs, rt) -> fun () -> set_reg st rd (rget st rs lxor rget st rt)
+  | Nor (rd, rs, rt) -> fun () -> set_reg st rd (lnot (rget st rs lor rget st rt))
+  | Slt (rd, rs, rt) -> fun () -> set_reg st rd (if rget st rs < rget st rt then 1 else 0)
   | Sltu (rd, rs, rt) ->
-    Some (fun () -> set_reg st rd (if u32 (rget st rs) < u32 (rget st rt) then 1 else 0))
-  | Addiu (rt, rs, i) -> Some (fun () -> set_reg st rt (rget st rs + i))
-  | Slti (rt, rs, i) -> Some (fun () -> set_reg st rt (if rget st rs < i then 1 else 0))
+    fun () -> set_reg st rd (if u32 (rget st rs) < u32 (rget st rt) then 1 else 0)
+  | Addiu (rt, rs, i) -> fun () -> set_reg st rt (rget st rs + i)
+  | Slti (rt, rs, i) -> fun () -> set_reg st rt (if rget st rs < i then 1 else 0)
   | Sltiu (rt, rs, i) ->
-    Some (fun () -> set_reg st rt (if u32 (rget st rs) < u32 (sext32 i) then 1 else 0))
-  | Andi (rt, rs, i) -> Some (fun () -> set_reg st rt (rget st rs land i))
-  | Ori (rt, rs, i) -> Some (fun () -> set_reg st rt (rget st rs lor i))
-  | Xori (rt, rs, i) -> Some (fun () -> set_reg st rt (rget st rs lxor i))
-  | Lui (rt, i) -> Some (fun () -> set_reg st rt (i lsl 16))
-  | Lb (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        let v = Mem.read_u8 m.mem a in
-        set_reg st rt (if v land 0x80 <> 0 then v - 0x100 else v))
-  | Lbu (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        set_reg st rt (Mem.read_u8 m.mem a))
-  | Lh (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        let v = Mem.read_u16 m.mem a in
-        set_reg st rt (if v land 0x8000 <> 0 then v - 0x10000 else v))
-  | Lhu (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        set_reg st rt (Mem.read_u16 m.mem a))
-  | Lw (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        set_reg st rt (Mem.read_u32 m.mem a))
-  | Sb (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        waccess m a;
-        Mem.write_u8 m.mem a (rget st rt);
-        if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Sh (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        waccess m a;
-        Mem.write_u16 m.mem a (rget st rt);
-        if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Sw (rt, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        waccess m a;
-        Mem.write_u32 m.mem a (u32 (rget st rt));
-        if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Lwc1 (ft, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        st.fregs.(ft) <- Mem.read_u32 m.mem a)
-  | Swc1 (ft, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        waccess m a;
-        Mem.write_u32 m.mem a st.fregs.(ft);
-        if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Ldc1 (ft, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        daccess m a;
-        st.fregs.(ft) <- Mem.read_u32 m.mem a;
-        st.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4))
-  | Sdc1 (ft, b, o) ->
-    Some
-      (fun () ->
-        let a = u32 (rget st b) + o in
-        waccess m a;
-        Mem.write_u32 m.mem a st.fregs.(ft);
-        Mem.write_u32 m.mem (a + 4) st.fregs.(ft + 1);
-        if Block_cache.dirty m.bc then raise Block_cache.Retired)
-  | Mtc1 (rt, fs) -> Some (fun () -> st.fregs.(fs) <- u32 (rget st rt))
-  | Mfc1 (rt, fs) -> Some (fun () -> set_reg st rt st.fregs.(fs))
-  | Fadd (fmt, fd, fs, ft) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 1;
-        set_fmt st fmt fd (get_fmt st fmt fs +. get_fmt st fmt ft))
-  | Fsub (fmt, fd, fs, ft) ->
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + 1;
-        set_fmt st fmt fd (get_fmt st fmt fs -. get_fmt st fmt ft))
-  | Fmul (fmt, fd, fs, ft) ->
-    let c = match fmt with Mips_asm.FS -> 3 | _ -> 4 in
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + c;
-        set_fmt st fmt fd (get_fmt st fmt fs *. get_fmt st fmt ft))
-  | Fdiv (fmt, fd, fs, ft) ->
-    let c = match fmt with Mips_asm.FS -> 11 | _ -> 18 in
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + c;
-        set_fmt st fmt fd (get_fmt st fmt fs /. get_fmt st fmt ft))
-  | Fsqrt (fmt, fd, fs) ->
-    let c = match fmt with Mips_asm.FS -> 13 | _ -> 25 in
-    Some
-      (fun () ->
-        m.cycles <- m.cycles + c;
-        set_fmt st fmt fd (sqrt (get_fmt st fmt fs)))
-  | Fabs (fmt, fd, fs) -> Some (fun () -> set_fmt st fmt fd (abs_float (get_fmt st fmt fs)))
-  | Fmov (fmt, fd, fs) -> (
-    match fmt with
-    | FS | FW -> Some (fun () -> st.fregs.(fd) <- st.fregs.(fs))
-    | FD ->
-      Some
-        (fun () ->
-          st.fregs.(fd) <- st.fregs.(fs);
-          st.fregs.(fd + 1) <- st.fregs.(fs + 1)))
-  | Fneg (fmt, fd, fs) -> Some (fun () -> set_fmt st fmt fd (-.get_fmt st fmt fs))
-  | Truncw (fmt, fd, fs) ->
-    Some
-      (fun () ->
-        let v = get_fmt st fmt fs in
-        st.fregs.(fd) <- u32 (int_of_float (Float.trunc v)))
-  | Cvt (to_, from, fd, fs) -> Some (fun () -> set_fmt st to_ fd (get_fmt st from fs))
-  | Fcmp (c, fmt, fs, ft) ->
-    Some
-      (match c with
-      | CEq -> fun () -> st.fcc <- get_fmt st fmt fs = get_fmt st fmt ft
-      | CLt -> fun () -> st.fcc <- get_fmt st fmt fs < get_fmt st fmt ft
-      | CLe -> fun () -> st.fcc <- get_fmt st fmt fs <= get_fmt st fmt ft)
-  | Jr _ | Jalr _ | J _ | Jal _ | Beq _ | Bne _ | Blez _ | Bgtz _ | Bltz _ | Bgez _
-  | Bc1t _ | Bc1f _ | Break _ ->
-    None
-
-(* Compiled closure for a block *terminator* at address [pc]: leaves
-   the control-transfer target in [m.btarget] (fallthrough [pc + 8] for
-   an untaken branch) — exactly the interpreter's btarget discipline.
-   The delay-slot action runs next and the block commit moves
-   btarget into pc. *)
-let term_of (m : t) pc (insn : insn) : (unit -> unit) option =
-  let st = m.arch in
-  let ft = pc + 8 in
-  match insn with
-  | Jr rs -> Some (fun () -> m.btarget <- u32 (rget st rs))
+    fun () -> set_reg st rt (if u32 (rget st rs) < u32 (sext32 i) then 1 else 0)
+  | Andi (rt, rs, i) -> fun () -> set_reg st rt (rget st rs land i)
+  | Ori (rt, rs, i) -> fun () -> set_reg st rt (rget st rs lor i)
+  | Xori (rt, rs, i) -> fun () -> set_reg st rt (rget st rs lxor i)
+  | Lui (rt, i) -> fun () -> set_reg st rt (i lsl 16)
+  | Jr rs -> fun () -> m.btarget <- u32 (rget st rs)
   | Jalr (rd, rs) ->
-    Some
-      (fun () ->
-        set_reg st rd (pc + 8);
-        m.btarget <- u32 (rget st rs))
+    fun () ->
+      set_reg st rd (pc + 8);
+      m.btarget <- u32 (rget st rs)
   | J t ->
-    let tgt = (u32 (pc + 4) land 0xF0000000) lor (t * 4) in
-    Some (fun () -> m.btarget <- tgt)
+    let tgt = jump_target pc t in
+    fun () -> m.btarget <- tgt
   | Jal t ->
-    let tgt = (u32 (pc + 4) land 0xF0000000) lor (t * 4) in
-    Some
-      (fun () ->
-        set_reg st 31 (pc + 8);
-        m.btarget <- tgt)
+    let tgt = jump_target pc t in
+    fun () ->
+      set_reg st 31 (pc + 8);
+      m.btarget <- tgt
   | Beq (rs, rt, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs = rget st rt then tk else ft))
+    fun () -> m.btarget <- (if rget st rs = rget st rt then tk else ft)
   | Bne (rs, rt, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs <> rget st rt then tk else ft))
+    fun () -> m.btarget <- (if rget st rs <> rget st rt then tk else ft)
   | Blez (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs <= 0 then tk else ft))
+    fun () -> m.btarget <- (if rget st rs <= 0 then tk else ft)
   | Bgtz (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs > 0 then tk else ft))
+    fun () -> m.btarget <- (if rget st rs > 0 then tk else ft)
   | Bltz (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs < 0 then tk else ft))
+    fun () -> m.btarget <- (if rget st rs < 0 then tk else ft)
   | Bgez (rs, off) ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if rget st rs >= 0 then tk else ft))
+    fun () -> m.btarget <- (if rget st rs >= 0 then tk else ft)
   | Bc1t off ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if st.fcc then tk else ft))
+    fun () -> m.btarget <- (if st.fcc then tk else ft)
   | Bc1f off ->
     let tk = pc + 4 + (4 * off) in
-    Some (fun () -> m.btarget <- (if not st.fcc then tk else ft))
-  | _ -> None
+    fun () -> m.btarget <- (if not st.fcc then tk else ft)
+  | Lb (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      let v = Mem.read_u8 m.mem a in
+      set_reg st rt (if v land 0x80 <> 0 then v - 0x100 else v)
+  | Lbu (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      set_reg st rt (Mem.read_u8 m.mem a)
+  | Lh (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      let v = Mem.read_u16 m.mem a in
+      set_reg st rt (if v land 0x8000 <> 0 then v - 0x10000 else v)
+  | Lhu (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      set_reg st rt (Mem.read_u16 m.mem a)
+  | Lw (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      set_reg st rt (Mem.read_u32 m.mem a)
+  | Sb (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      waccess m a;
+      Mem.write_u8 m.mem a (rget st rt);
+      if Block_cache.dirty m.bc then raise Block_cache.Retired
+  | Sh (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      waccess m a;
+      Mem.write_u16 m.mem a (rget st rt);
+      if Block_cache.dirty m.bc then raise Block_cache.Retired
+  | Sw (rt, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      waccess m a;
+      Mem.write_u32 m.mem a (u32 (rget st rt));
+      if Block_cache.dirty m.bc then raise Block_cache.Retired
+  | Lwc1 (ft, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      st.fregs.(ft) <- Mem.read_u32 m.mem a
+  | Swc1 (ft, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      waccess m a;
+      Mem.write_u32 m.mem a st.fregs.(ft);
+      if Block_cache.dirty m.bc then raise Block_cache.Retired
+  | Ldc1 (ft, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      daccess m a;
+      st.fregs.(ft) <- Mem.read_u32 m.mem a;
+      st.fregs.(ft + 1) <- Mem.read_u32 m.mem (a + 4)
+  | Sdc1 (ft, b, o) ->
+    fun () ->
+      let a = u32 (rget st b) + o in
+      waccess m a;
+      Mem.write_u32 m.mem a st.fregs.(ft);
+      Mem.write_u32 m.mem (a + 4) st.fregs.(ft + 1);
+      if Block_cache.dirty m.bc then raise Block_cache.Retired
+  | Mtc1 (rt, fs) -> fun () -> st.fregs.(fs) <- u32 (rget st rt)
+  | Mfc1 (rt, fs) -> fun () -> set_reg st rt st.fregs.(fs)
+  | Fadd (fmt, fd, fs, ft) ->
+    fun () ->
+      m.cycles <- m.cycles + 1;
+      set_fmt st fmt fd (get_fmt st fmt fs +. get_fmt st fmt ft)
+  | Fsub (fmt, fd, fs, ft) ->
+    fun () ->
+      m.cycles <- m.cycles + 1;
+      set_fmt st fmt fd (get_fmt st fmt fs -. get_fmt st fmt ft)
+  | Fmul (fmt, fd, fs, ft) ->
+    let c = match fmt with FS -> 3 | _ -> 4 in
+    fun () ->
+      m.cycles <- m.cycles + c;
+      set_fmt st fmt fd (get_fmt st fmt fs *. get_fmt st fmt ft)
+  | Fdiv (fmt, fd, fs, ft) ->
+    let c = match fmt with FS -> 11 | _ -> 18 in
+    fun () ->
+      m.cycles <- m.cycles + c;
+      set_fmt st fmt fd (get_fmt st fmt fs /. get_fmt st fmt ft)
+  | Fsqrt (fmt, fd, fs) ->
+    let c = match fmt with FS -> 13 | _ -> 25 in
+    fun () ->
+      m.cycles <- m.cycles + c;
+      set_fmt st fmt fd (sqrt (get_fmt st fmt fs))
+  | Fabs (fmt, fd, fs) -> fun () -> set_fmt st fmt fd (abs_float (get_fmt st fmt fs))
+  | Fmov ((FS | FW), fd, fs) -> fun () -> st.fregs.(fd) <- st.fregs.(fs)
+  | Fmov (FD, fd, fs) ->
+    fun () ->
+      st.fregs.(fd) <- st.fregs.(fs);
+      st.fregs.(fd + 1) <- st.fregs.(fs + 1)
+  | Fneg (fmt, fd, fs) -> fun () -> set_fmt st fmt fd (-.get_fmt st fmt fs)
+  | Truncw (fmt, fd, fs) ->
+    fun () -> st.fregs.(fd) <- u32 (int_of_float (Float.trunc (get_fmt st fmt fs)))
+  | Cvt (to_, from, fd, fs) -> fun () -> set_fmt st to_ fd (get_fmt st from fs)
+  | Fcmp (CEq, fmt, fs, ft) -> fun () -> st.fcc <- get_fmt st fmt fs = get_fmt st fmt ft
+  | Fcmp (CLt, fmt, fs, ft) -> fun () -> st.fcc <- get_fmt st fmt fs < get_fmt st fmt ft
+  | Fcmp (CLe, fmt, fs, ft) -> fun () -> st.fcc <- get_fmt st fmt fs <= get_fmt st fmt ft
+  | Break code -> fun () -> raise (Machine_error (Printf.sprintf "break %d at 0x%x" code pc))
+
+(* Break is a trap: blocks stop before it and the interpreter raises *)
+let kind : insn -> Engine.kind = function
+  | Jr _ | Jalr _ | J _ | Jal _ | Beq _ | Bne _ | Blez _ | Bgtz _ | Bltz _ | Bgez _
+  | Bc1t _ | Bc1f _ -> Term
+  | Break _ -> Trap
+  | _ -> Body
 
 (* Only closures for these instructions can raise: a memory fault from
    a load/store, or [Block_cache.Retired] from a store that invalidated
-   a resident block.  Everything else [act_of] compiles is pure OCaml
-   arithmetic that cannot raise (the division arms are zero-guarded),
-   and MIPS terminators only write [m.btarget], so the per-instruction
+   a resident block.  Everything else is pure OCaml arithmetic that
+   cannot raise (the division arms are zero-guarded), and MIPS
+   terminators only write [m.btarget], so the per-instruction
    [m.blk_i] bookkeeping is baked in at compile time for can-raise
    instructions alone and elided everywhere else. *)
 let act_raises (insn : insn) : bool =
@@ -555,15 +329,16 @@ include Engine.Make (struct
     { regs = Array.make 32 0; fregs = Array.make 32 0; hi = 0; lo = 0; fcc = false;
       stack_top = cfg.mem_bytes - 256 }
 
-  let fetch = fetch
-  let step_inner = step_inner
-  let act_of = act_of
-  let term_of = term_of
+  exception Bad_insn = Mips_asm.Bad_insn
+
+  let decode = Mips_asm.decode
+  let sem = sem
+  let kind = kind
   let act_raises = act_raises
   let term_raises = false
 
   let static_target tpc : insn -> int option = function
-    | J t | Jal t -> Some ((u32 (tpc + 4) land 0xF0000000) lor (t * 4))
+    | J t | Jal t -> Some (jump_target tpc t)
     | _ -> None
 
   let is_nop : insn -> bool = function Nop -> true | _ -> false
