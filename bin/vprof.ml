@@ -274,7 +274,7 @@ let json_arg =
 
 let main port workload mode top iters json =
   let p = W.port_exn ~tool:"vprof" port in
-  let workload = W.workload_exn ~tool:"vprof" workload in
+  let workload = W.workload_exn ~tool:"vprof" ~port workload in
   ignore (W.mode_exn ~tool:"vprof" mode);
   let o = measure p ~workload ~mode ~iters in
   report ~port ~workload ~mode ~iters ~top o;

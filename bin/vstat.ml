@@ -256,7 +256,7 @@ let perfetto_arg =
 
 let main port workload mode iters runs every top json perfetto =
   let p = W.port_exn ~tool:"vstat" port in
-  let workload = W.workload_exn ~tool:"vstat" workload in
+  let workload = W.workload_exn ~tool:"vstat" ~port workload in
   ignore (W.mode_exn ~tool:"vstat" mode);
   let o = measure p ~workload ~mode ~iters ~runs:(max 1 runs) ~every:(max 1 every) ~top in
   report ~port ~workload ~mode ~iters ~top o;

@@ -78,7 +78,7 @@ let symbolize regions pc =
 
 let capture port workload mode iters cap fuel bin json =
   let p = W.port_exn ~tool:"vtrace" port in
-  let workload = W.workload_exn ~tool:"vtrace" workload in
+  let workload = W.workload_exn ~tool:"vtrace" ~port workload in
   let tr, regions, abort = traced_run p ~workload ~mode ~iters ~cap ~fuel () in
   Printf.printf "vtrace: %s on %s, %s mode (%d iterations)\n" workload port mode iters;
   Printf.printf "  %d records seen, %d retained, %d dropped (ring 2^%d)\n" (Trace.seen tr)
@@ -132,7 +132,7 @@ let stream_context label regions (pcs : int array) ~ordinal ~context =
 
 let diff port workload mode_a mode_b iters cap fuel inject context =
   let p = W.port_exn ~tool:"vtrace" port in
-  let workload = W.workload_exn ~tool:"vtrace" workload in
+  let workload = W.workload_exn ~tool:"vtrace" ~port workload in
   (* A corrupted run can spin until fuel runs out; if that overflows
      the trace ring, the head of the stream — where the true first
      divergence lives — is lost.  Clamp the per-call budget well under

@@ -550,12 +550,18 @@ let mode_exn ~tool name =
     Printf.eprintf "%s: unknown mode %S (%s)\n" tool name (String.concat "|" mode_names);
     exit 1
 
-let workload_exn ~tool name =
+let workload_exn ~tool ~port name =
   if List.mem name workload_names then name
   else if is_asm_workload name then begin
     (* validate the corpus program now for a located CLI error rather
        than a failwith out of [prepare] *)
     let prog = String.sub name 4 (String.length name - 4) in
+    if port <> "mips" then begin
+      Printf.eprintf
+        "%s: asm workload %S: corpus programs are MIPS assembly (port %s cannot run them)\n" tool
+        prog port;
+      exit 1
+    end;
     match corpus_path prog with
     | Some _ -> name
     | None ->

@@ -419,6 +419,32 @@ let test_lockstep_fuzz () =
   (* all rigs agree on the survivors *)
   List.iter classify_all (live_keys ())
 
+(* Compile-then-swap: a replacement whose estimate fits a slab class
+   but whose compiled code does not (140 four-byte masked atoms: 904
+   estimated words, over 1,024 compiled) raises [Oversize] only after the
+   compile — and the key's old filter must still be published and
+   classifying. *)
+let test_server_replace_keeps_old () =
+  let m = mk_machine () in
+  let sv = SV.create m.S.mem in
+  let e1 = SV.install sv ~key:1 (filter_for ~fid:101 ~port:2001) in
+  let wide =
+    Filter.make ~fid:999
+      (List.init 140 (fun i ->
+           Filter.Cmp { offset = 4 * i; size = 4; mask = 0xFFFF; value = i }))
+  in
+  (match SV.install sv ~key:1 wide with
+  | _ -> Alcotest.fail "oversize replacement accepted"
+  | exception Vserver.Server.Oversize words ->
+    check Alcotest.bool "reports the words over the largest class" true (words > A.max_words));
+  check Alcotest.int "the old filter stays live" 1 (SV.live sv);
+  check Alcotest.(option int) "the old entry is still published" (Some e1) (SV.lookup sv 1);
+  check Alcotest.int "the old filter still classifies" 101 (classify m ~entry:e1 ~port:2001);
+  (* and a replacement that does fit swaps in *)
+  let e1' = SV.install sv ~key:1 (filter_for ~fid:201 ~port:3001) in
+  check Alcotest.int "the replacement classifies" 201 (classify m ~entry:e1' ~port:3001);
+  check Alcotest.int "one replace counted" 1 (SV.stats sv).SV.replaces
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -438,6 +464,8 @@ let () =
           Alcotest.test_case "bulk eviction policy" `Quick test_server_bulk_eviction_policy;
           Alcotest.test_case "max_live cap" `Quick test_server_max_live;
           Alcotest.test_case "oversize install refused" `Quick test_server_oversize_refused;
+          Alcotest.test_case "failed replace keeps the old filter" `Quick
+            test_server_replace_keeps_old;
         ] );
       ( "eviction-lifetime",
         [ Alcotest.test_case "four-mode lockstep fuzz" `Quick test_lockstep_fuzz ] );
