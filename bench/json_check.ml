@@ -1,11 +1,11 @@
 (* Strict validator for the benchmark harness's `--json FILE` output.
 
-   The harness writes its results by hand (bench/main.ml, [write_json])
-   rather than through a JSON library, so nothing structurally guards
-   the format; this tool re-parses the file with a small
-   strict-by-construction RFC 8259 parser and exits non-zero on any
-   deviation — in particular a bare `nan`/`inf` token from a non-finite
-   measurement, the regression that [json_float]'s null fallback
+   The harness and vprof write through the small printer in
+   lib/harness/report_util rather than a JSON library, so nothing
+   structurally guards the format; this tool re-parses the file with a
+   small strict-by-construction RFC 8259 parser and exits non-zero on
+   any deviation — in particular a bare `nan`/`inf` token from a
+   non-finite measurement, the regression the printer's null fallback
    exists to prevent.
 
    [--require-schema N] additionally demands that every file carry a

@@ -41,6 +41,16 @@ let body_capacity = 320
 let json_results : (string * float) list ref = ref []
 let record key v = json_results := (key, v) :: !json_results
 
+(* record a distribution's interpolated p50/p99/p999 under
+   [prefix].p50 &c.; returns the three *)
+let record_tail prefix st =
+  List.map
+    (fun (k, q) ->
+      let v = Vmachine.Telemetry.quantile_of_stats st q in
+      record (prefix ^ "." ^ k) (float_of_int v);
+      v)
+    [ ("p50", 0.5); ("p99", 0.99); ("p999", 0.999) ]
+
 (* --telemetry: one enabled sink threaded into the Table 3 / Table 4
    workload simulators and generators; --json then appends its contents
    as a nested "telemetry" object (counters, distribution summaries,
@@ -48,11 +58,6 @@ let record key v = json_results := (key, v) :: !json_results
    and its zero-overhead path. *)
 let tel_sink : Vmachine.Telemetry.t option ref = ref None
 let tel () = match !tel_sink with Some t -> t | None -> Vmachine.Telemetry.disabled
-
-let json_float v =
-  match Float.classify_float v with
-  | FP_nan | FP_infinite -> "null"
-  | _ -> Printf.sprintf "%.6g" v
 
 (* version of the --json document layout; bump when keys change.
    bench/json_check.exe --require-schema pins it in the test suite.
@@ -67,50 +72,23 @@ let json_float v =
      7: tail-latency percentiles — router.install_ns.* and
         router.classify_ns.* (p50/p99/p999 interpolated from the
         telemetry log2 buckets by Telemetry.quantile_of_stats) and
-        corpus.mips.<w>.run_ns.* per-run percentiles *)
-let json_schema_version = 7
+        corpus.mips.<w>.run_ns.* per-run percentiles
+     8: the --telemetry dists gain p50/p90/p99/p999 (the shared
+        Report_util.telemetry_fields object vprof also writes) *)
+let json_schema_version = 8
 
+(* one flat object through the shared writer; non-finite results
+   print as null *)
 let write_json path =
-  let items = List.rev !json_results in
-  let n = List.length items in
-  let tel_on = match !tel_sink with Some _ -> true | None -> false in
-  let oc = open_out path in
-  output_string oc "{\n";
-  Printf.fprintf oc "  \"schema\": %d%s\n" json_schema_version
-    (if n > 0 || tel_on then "," else "");
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  %S: %s%s\n" k (json_float v)
-        (if i < n - 1 || tel_on then "," else ""))
-    items;
-  (match !tel_sink with
-  | None -> ()
-  | Some t ->
-    let module T = Vmachine.Telemetry in
-    let collect iter = (* registration-ordered (name, payload) list *)
-      let acc = ref [] in
-      iter t (fun name v -> acc := (name, v) :: !acc);
-      List.rev !acc
-    in
-    let emit_obj indent kvs payload =
-      let n = List.length kvs in
-      List.iteri
-        (fun i (k, v) ->
-          Printf.fprintf oc "%s%S: %s%s\n" indent k (payload v)
-            (if i < n - 1 then "," else ""))
-        kvs
-    in
-    output_string oc "  \"telemetry\": {\n    \"counters\": {\n";
-    emit_obj "      " (collect T.iter_counters) string_of_int;
-    output_string oc "    },\n    \"dists\": {\n";
-    emit_obj "      " (collect T.iter_dists) (fun (st : T.dist_stats) ->
-        Printf.sprintf "{ \"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d }"
-          st.T.count st.T.sum st.T.min st.T.max);
-    Printf.fprintf oc "    },\n    \"events_seen\": %d\n  }\n" (T.events_seen t);
-    ());
-  output_string oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %d results to %s\n" n path
+  let items = List.rev_map (fun (k, v) -> (k, Report_util.Float v)) !json_results in
+  let telemetry =
+    match !tel_sink with
+    | None -> []
+    | Some t -> [ ("telemetry", Report_util.Obj (Report_util.telemetry_fields t)) ]
+  in
+  Report_util.write_json ~tool:"bench" path
+    (Report_util.Obj ((("schema", Report_util.Int json_schema_version) :: items) @ telemetry));
+  Printf.printf "wrote %d results to %s\n" (List.length items) path
 
 (* dotted-key path component: lowercase, alphanumeric runs joined by _ *)
 let slug s =
@@ -983,12 +961,10 @@ let bench_corpus () =
           prep.Workloads.run ()
         done;
         let st = T.dist_stats tel_l (T.dist tel_l "mips.run_ns") in
-        let q x = T.quantile_of_stats st x in
-        let key m_ = Printf.sprintf "corpus.mips.%s.run_ns.%s" (slug workload) m_ in
-        record (key "p50") (float_of_int (q 0.5));
-        record (key "p99") (float_of_int (q 0.99));
-        record (key "p999") (float_of_int (q 0.999));
-        Printf.printf "   %-14s %10d %10d %10d\n" workload (q 0.5) (q 0.99) (q 0.999))
+        let ps = record_tail (Printf.sprintf "corpus.mips.%s.run_ns" (slug workload)) st in
+        Printf.printf "   %-14s" workload;
+        List.iter (Printf.printf " %10d") ps;
+        Printf.printf "\n")
       corpus_rows;
     Printf.printf "\n"
 
@@ -1110,8 +1086,8 @@ let bench_router () =
   (* tail latency: a dedicated enabled sink (independent of
      --telemetry, so the throughput sections above keep their
      zero-overhead disabled path) feeds the install/classify stopwatch
-     dists; percentiles interpolated from the log2 buckets.  bin/vstat
-     is the interactive view of the same distributions. *)
+     dists; percentiles interpolated from the log2 buckets.  vprof -w
+     router is the interactive view of the same distributions. *)
   let module T = Vmachine.Telemetry in
   let tel_l = T.create () in
   let m = P.create ~cfg ~telemetry:tel_l ~predecode:true ~blocks:true ~regions:false () in
@@ -1123,20 +1099,17 @@ let bench_router () =
   Printf.printf "   %-22s %10s %10s %10s\n" "op" "p50" "p99" "p999";
   List.iter
     (fun (dist_name, key) ->
-      let st = T.dist_stats tel_l (T.dist tel_l dist_name) in
-      let q x = T.quantile_of_stats st x in
-      let p50 = q 0.5 and p99 = q 0.99 and p999 = q 0.999 in
-      record (Printf.sprintf "router.%s.p50" key) (float_of_int p50);
-      record (Printf.sprintf "router.%s.p99" key) (float_of_int p99);
-      record (Printf.sprintf "router.%s.p999" key) (float_of_int p999);
-      Printf.printf "   %-22s %10d %10d %10d\n" dist_name p50 p99 p999)
+      let ps = record_tail ("router." ^ key) (T.dist_stats tel_l (T.dist tel_l dist_name)) in
+      Printf.printf "   %-22s" dist_name;
+      List.iter (Printf.printf " %10d") ps;
+      Printf.printf "\n")
     [ ("server.install_ns", "install_ns"); ("router.classify_ns", "classify_ns") ];
   Printf.printf "\n";
   (inst_single, inst_batched, batch_speedup)
 
 (* ------------------------------------------------------------------ *)
 (* Section: json-selftest -- deliberately record non-finite values so a
-   `--json FILE` run exercises the null fallback in [json_float]; the
+   `--json FILE` run exercises the writer's null fallback; the
    json_check tool then verifies the file is strictly parseable. *)
 
 let bench_json_selftest () =

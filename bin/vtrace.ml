@@ -37,21 +37,22 @@ module W = Workloads
    compilation happens up front, then the measured pass.  Both diff
    sides use the same two-pass discipline, so their streams are
    directly comparable, and [inject] runs between the passes — after
-   the block cache is populated, before the measured run.  A fault or
-   out-of-fuel exception in the measured pass is reported, not fatal:
-   the trace up to that point is exactly what the differ needs. *)
+   the block cache is populated, before the measured run.  A workload
+   that fails to set up or in the priming pass is a located error
+   (exit 1); a fault or out-of-fuel exception in the measured pass is
+   reported, not fatal: the trace up to that point is exactly what the
+   differ needs. *)
 let traced_run (module P : W.PORT) ~workload ~mode ~iters ~cap ~fuel ?(inject_hot = false) () =
   let predecode, blocks, regions = W.mode_exn ~tool:"vtrace" mode in
   let tel = Tel.create () in
   let tr = Trace.create ~capacity_pow2:cap () in
   let m = P.create ~telemetry:tel ~trace:tr ~predecode ~blocks ~regions () in
-  let prep = P.prepare ~tel ~provenance:true ~fuel m ~workload ~iters in
-  let abort = ref None in
-  let pass () = try prep.W.run () with e -> abort := Some (Printexc.to_string e) in
-  pass ();
-  (match !abort with
-  | Some e -> Printf.ksprintf failwith "vtrace: %s/%s priming pass failed: %s" workload mode e
-  | None -> ());
+  let prep =
+    W.guard ~tool:"vtrace" ~port:P.name ~workload ~mode (fun () ->
+        let prep = P.prepare ~tel ~provenance:true ~fuel m ~workload ~iters in
+        prep.W.run ();
+        prep)
+  in
   (* --inject-hot: corrupt the now-populated block cache — alias the
      hottest compiled entry to the second-hottest block, i.e. a stale
      translation exactly where it does the most damage *)
@@ -65,8 +66,8 @@ let traced_run (module P : W.PORT) ~workload ~mode ~iters ~cap ~fuel ?(inject_ho
   end;
   Trace.reset tr;
   P.reset_stats m;
-  pass ();
-  (tr, prep.W.regions, !abort)
+  let abort = try prep.W.run (); None with e -> Some (W.error_message e) in
+  (tr, prep.W.regions, abort)
 
 let symbolize regions pc =
   match W.symbol_of regions pc with
@@ -89,18 +90,16 @@ let capture port workload mode iters cap fuel bin json =
   (match bin with
   | None -> ()
   | Some path ->
-    let oc = open_out_bin path in
-    Trace.write_binary oc ~port ~mode ~workload tr;
-    close_out oc;
+    Report_util.write_file ~tool:"vtrace" ~binary:true path (fun oc ->
+        Trace.write_binary oc ~port ~mode ~workload tr);
     Printf.printf "  wrote binary trace to %s\n" path);
   (match json with
   | None -> ()
   | Some path ->
-    let b = Buffer.create 65536 in
-    Chrome_trace.write_trace b ~symbol:(W.symbol_of regions) ~port ~mode ~workload tr;
-    let oc = open_out path in
-    Buffer.output_buffer oc b;
-    close_out oc;
+    Report_util.write_file ~tool:"vtrace" path (fun oc ->
+        let b = Buffer.create 65536 in
+        Chrome_trace.write_trace b ~symbol:(W.symbol_of regions) ~port ~mode ~workload tr;
+        Buffer.output_buffer oc b);
     Printf.printf "  wrote Chrome trace_event JSON to %s (load in Perfetto)\n" path);
   if bin = None && json = None then begin
     (* no export requested: print the tail as a smoke report *)

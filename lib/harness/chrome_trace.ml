@@ -1,6 +1,6 @@
 (* Shared Chrome trace_event "JSON object format" writer (Perfetto /
    chrome://tracing loadable), factored out of Trace so vtrace's
-   retired-instruction export and vstat's timeline export emit through
+   retired-instruction export and vprof's timeline export emit through
    one code path.
 
    The format: a top-level object whose [traceEvents] array Perfetto
@@ -97,7 +97,7 @@ let write_trace b ?(symbol = fun _ -> None) ~port ~mode ~workload t =
   finish w
 
 (* ------------------------------------------------------------------ *)
-(* vstat: the merged gauge-timeline + telemetry-event export           *)
+(* vprof: the merged gauge-timeline + telemetry-event export           *)
 
 let timeline_schema_version = 1
 
@@ -107,9 +107,9 @@ let timeline_schema_version = 1
    "i" events at ts = the event's global ordinal.  The two share the
    work-ordinal axis: for the router one packet is one tick, so ring
    events land amid the counter samples they perturbed. *)
-let write_timeline b ?(tool = "vstat") ~port ~mode ~workload tl tel =
+let write_timeline b ~port ~mode ~workload tl tel =
   let w =
-    start b ~tool ~schema:timeline_schema_version
+    start b ~tool:"vprof" ~schema:timeline_schema_version
       ~meta:[ ("port", port); ("mode", mode); ("workload", workload) ]
       ~meta_ints:
         [

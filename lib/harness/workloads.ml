@@ -33,6 +33,9 @@ type code_region = {
 type prepared = {
   run : unit -> unit; (* one full workload pass; re-runnable *)
   regions : code_region list;
+  tenants : k:int -> (int * int * int * int) list;
+      (* the router's hottest tenants (see [rt_top]); empty for the
+         other workloads *)
 }
 
 (* The synthetic router: a {!Vserver.Server} registry of compiled DPF
@@ -47,8 +50,6 @@ type router = {
          choice, each classification checked against the installed
          fid); every [churn_every] packets the oldest filter is
          evicted and a fresh one installed in its place *)
-  rt_live : unit -> int;
-  rt_installs : unit -> int; (* filters ever installed *)
   rt_drops : unit -> int; (* lookups that missed (evicted keys) *)
   rt_sync : unit -> unit; (* push registry gauges into telemetry *)
   rt_top : k:int -> (int * int * int * int) list;
@@ -148,8 +149,8 @@ module type PORT = sig
       filters (capacity evictions past it); [arena_slabs] sizes the
       code window to that many 128-word slabs (the single-filter slab
       class), the lever for driving the registry at capacity.
-      [timeline] receives the registry/arena/engine gauges and one
-      tick per packet; [tel] additionally gets the per-packet
+      [timeline] receives the registry/arena gauges and one tick per
+      packet; [tel] additionally gets the per-packet
       [router.classify_ns] distribution and the per-tenant table
       behind [rt_top]. *)
   val router :
@@ -164,9 +165,14 @@ module type PORT = sig
   (** generate + install the named workload's code into [m]; [iters]
       is baked into the returned closure.  [tel] receives the
       generation-cost note ({!Tel.note_gen}); [provenance] runs the
-      generators with emit-site provenance tables on. *)
+      generators with emit-site provenance tables on.  [timeline]
+      gets the engine gauges (plus the router's registry gauges), a
+      sample once setup is done (on the router also one before the
+      filters are installed) and a tick per run, or per packet on the
+      router. *)
   val prepare :
-    ?tel:Tel.t -> ?provenance:bool -> ?fuel:int -> m -> workload:string -> iters:int -> prepared
+    ?tel:Tel.t -> ?timeline:Timeline.t -> ?provenance:bool -> ?fuel:int -> m ->
+    workload:string -> iters:int -> prepared
 end
 
 (* Every port's simulator presents the same {!Vmachine.Engine.SIM}
@@ -284,16 +290,10 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
       Option.map (fun n -> arena_base + (4 * 128 * n)) arena_slabs
     in
     let sv = SV.create ~tel ?max_live ~arena_base ?arena_limit mem in
-    (* timeline gauges: registry occupancy + arena free lists from the
-       server, per-tier resident translations and the event-ring total
-       from the engine.  One tick per packet (below), so counter
-       tracks plot against the packet ordinal. *)
-    if Timeline.is_enabled timeline then begin
-      List.iter (fun (n, f) -> Timeline.gauge timeline n f) (SV.gauge_sources sv);
-      Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (resident m));
-      Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (resident m));
-      Timeline.gauge timeline "tel.events_seen" (fun () -> Tel.events_seen tel)
-    end;
+    (* timeline gauges: registry occupancy + arena free lists.  One
+       tick per packet (below), so counter tracks plot against the
+       packet ordinal. *)
+    List.iter (fun (n, f) -> Timeline.gauge timeline n f) (SV.gauge_sources sv);
     Dpf.Packet.install mem ~addr:pkt_addr (Dpf.Packet.tcp ());
     let next_key = ref 0 and oldest = ref 0 and drops = ref 0 in
     let tel_on = Tel.is_enabled tel in
@@ -391,8 +391,6 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
     {
       rt_install;
       rt_packets;
-      rt_live = (fun () -> SV.live sv);
-      rt_installs = (fun () -> (SV.stats sv).SV.installs);
       rt_drops = (fun () -> !drops);
       rt_sync = (fun () -> SV.sync_gauges sv);
       rt_top =
@@ -403,7 +401,12 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
           |> List.filteri (fun i _ -> i < k));
     }
 
-  let prepare ?(tel = Tel.disabled) ?(provenance = false) ?fuel m ~workload ~iters =
+  let setup ~tel ~timeline ~provenance ?fuel m ~workload ~iters =
+    (* a workload without tenants ticks once per run; the router ticks
+       per packet instead *)
+    let plain run regions =
+      { run = (fun () -> run (); Timeline.tick timeline); regions; tenants = (fun ~k:_ -> []) }
+    in
     (* the generators create their own [Gen.t]s behind [lambda], so
        provenance is requested through the process-wide default; it is
        restored before any simulated code runs *)
@@ -433,7 +436,7 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
             failwith "dpf-classify: misclassified packet"
         done
       in
-      { run; regions = [ region "dpf" c.Dpf.code ] }
+      plain run [ region "dpf" c.Dpf.code ]
     | "table4-ash" ->
       (* the Table 4 fixture: the dynamically composed copy+checksum
          pipeline over 8KB; [iters] scales the number of passes *)
@@ -448,13 +451,13 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
           ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ dst_addr; src_addr; nwords ])
         done
       in
-      { run; regions = [ region "ash" code ] }
+      plain run [ region "ash" code ]
     | "alu-loop" ->
       let code = generate gen_loop in
       Tel.note_gen tel ~prefix:"loop" code.Vcode.gen;
       install m code;
       let run () = ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ iters ]) in
-      { run; regions = [ region "loop" code ] }
+      plain run [ region "loop" code ]
     | "region-loop" ->
       (* [iters] counts inner-loop iterations like alu-loop, so the
          bench's insns/sec rates are comparable across workloads *)
@@ -463,19 +466,20 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
       install m code;
       let outer = max 1 (iters / 64) in
       let run () = ignore (S.call_ints ?fuel m ~entry:code.Vcode.entry_addr [ outer ]) in
-      { run; regions = [ region "rloop" code ] }
+      plain run [ region "rloop" code ]
     | "router" ->
       (* registry churn fixture: [iters] packets over a filter table
          sized to the packet count (16..4096 filters), one churn
          (evict oldest + install fresh) every 32 packets *)
-      let r = router ~tel ?fuel m in
+      let r = router ~tel ~timeline ?fuel m in
       let nf = max 16 (min 4096 (iters / 4)) in
+      Timeline.sample_now timeline; (* baseline row before any install *)
       r.rt_install ~n:nf ~batched:true;
       let run () =
         r.rt_packets ~n:iters ~churn_every:32;
         r.rt_sync ()
       in
-      { run; regions = [] }
+      { run; regions = []; tenants = r.rt_top }
     | w when is_asm_workload w ->
       (* an external corpus program: assemble with Vasm, load the word
          image, and call [main] with [iters] as the single argument —
@@ -499,8 +503,19 @@ module Make_port (T : Target.S) (S : Vmachine.Engine.SIM) : PORT = struct
       in
       load_asm_image (mem m) img;
       let run () = ignore (S.call_ints ?fuel m ~entry:img.Vasm.entry [ iters ] : int) in
-      { run; regions = [] }
+      plain run []
     | w -> Printf.ksprintf failwith "unknown workload %S" w
+
+  let prepare ?(tel = Tel.disabled) ?(timeline = Timeline.disabled) ?(provenance = false) ?fuel
+      m ~workload ~iters =
+    (* the engine gauges: per-tier resident translations and the
+       event-ring total *)
+    Timeline.gauge timeline "engine.blocks.resident" (fun () -> fst (resident m));
+    Timeline.gauge timeline "engine.regions.resident" (fun () -> snd (resident m));
+    Timeline.gauge timeline "tel.events_seen" (fun () -> Tel.events_seen tel);
+    let prep = setup ~tel ~timeline ~provenance ?fuel m ~workload ~iters in
+    Timeline.sample_now timeline;
+    prep
 end
 
 module Mips_port = Make_port (Vmips.Mips_backend) (Vmips.Mips_sim)
@@ -553,8 +568,8 @@ let mode_exn ~tool name =
 let workload_exn ~tool ~port name =
   if List.mem name workload_names then name
   else if is_asm_workload name then begin
-    (* validate the corpus program now for a located CLI error rather
-       than a failwith out of [prepare] *)
+    (* validate and assemble the program now, for a located CLI error
+       rather than a failwith out of [prepare] *)
     let prog = String.sub name 4 (String.length name - 4) in
     if port <> "mips" then begin
       Printf.eprintf
@@ -563,7 +578,12 @@ let workload_exn ~tool ~port name =
       exit 1
     end;
     match corpus_path prog with
-    | Some _ -> name
+    | Some path -> (
+      match Vasm.assemble_file path with
+      | Ok _ -> name
+      | Error d ->
+        Printf.eprintf "%s: %s:%s\n" tool path (Vasm.diag_to_string d);
+        exit 1)
     | None ->
       Printf.eprintf "%s: unknown corpus program %S (available: %s)\n" tool prog
         (match corpus_programs () with
@@ -576,3 +596,19 @@ let workload_exn ~tool ~port name =
       (String.concat "|" workload_names);
     exit 1
   end
+
+(* the one-line text of an exception a workload run raised *)
+let error_message = function
+  | Failure s | Vmachine.Engine.Core.Machine_error s -> s
+  | Vmachine.Mem.Fault s -> "memory fault: " ^ s
+  | e -> Printexc.to_string e
+
+(* [guard ~tool ~port ~workload ~mode f] runs [f]; a workload that
+   fails while it is set up or run (a failed oracle, a memory fault, an
+   illegal instruction, fuel exhausted) is reported as
+   [TOOL: WORKLOAD on PORT, MODE mode: MESSAGE] with exit 1 *)
+let guard ~tool ~port ~workload ~mode f =
+  try f ()
+  with e ->
+    Printf.eprintf "%s: %s on %s, %s mode: %s\n" tool workload port mode (error_message e);
+    exit 1
