@@ -79,14 +79,14 @@ let json_schema_version = 8
 
 (* one flat object through the shared writer; non-finite results
    print as null *)
-let write_json path =
+let write_json (path, out) =
   let items = List.rev_map (fun (k, v) -> (k, Report_util.Float v)) !json_results in
   let telemetry =
     match !tel_sink with
     | None -> []
     | Some t -> [ ("telemetry", Report_util.Obj (Report_util.telemetry_fields t)) ]
   in
-  Report_util.write_json ~tool:"bench" path
+  Report_util.write_json out
     (Report_util.Obj ((("schema", Report_util.Int json_schema_version) :: items) @ telemetry));
   Printf.printf "wrote %d results to %s\n" (List.length items) path
 
@@ -1189,6 +1189,7 @@ let () =
   in
   let modes, json = parse [] None (List.tl (Array.to_list Sys.argv)) in
   let modes = if modes = [] then [ "all" ] else modes in
+  let json = Option.map (fun path -> (path, Report_util.open_output ~tool:"bench" path)) json in
   Printf.printf "VCODE reproduction benchmarks\n";
   Printf.printf "=============================\n\n";
   List.iter run_mode modes;

@@ -219,18 +219,20 @@ let main port workload mode iters runs top json perfetto =
   let workload = W.workload_exn ~tool ~port workload in
   let flags = W.mode_exn ~tool mode in
   let runs = max 1 runs in
+  let out_file path = (path, J.open_output ~tool path) in
+  let json = Option.map out_file json and perfetto = Option.map out_file perfetto in
   let o =
     W.guard ~tool ~port ~workload ~mode (fun () -> measure p flags ~workload ~iters ~runs ~top)
   in
   report ~port ~workload ~mode ~iters ~runs ~top o;
   Option.iter
-    (fun path ->
-      J.write_json ~tool path (to_json ~port ~workload ~mode ~iters ~runs ~top o);
+    (fun (path, out) ->
+      J.write_json out (to_json ~port ~workload ~mode ~iters ~runs ~top o);
       Printf.printf "\nwrote %s\n" path)
     json;
   Option.iter
-    (fun path ->
-      J.write_file ~tool path (fun oc ->
+    (fun (path, out) ->
+      J.write_output out (fun oc ->
           let b = Buffer.create 65536 in
           Chrome_trace.write_timeline b ~port ~mode ~workload o.o_tl o.o_tel;
           Buffer.output_buffer oc b);

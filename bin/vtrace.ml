@@ -80,6 +80,8 @@ let symbolize regions pc =
 let capture port workload mode iters cap fuel bin json =
   let p = W.port_exn ~tool:"vtrace" port in
   let workload = W.workload_exn ~tool:"vtrace" ~port workload in
+  let out_file ?binary path = (path, Report_util.open_output ~tool:"vtrace" ?binary path) in
+  let bin = Option.map (out_file ~binary:true) bin and json = Option.map out_file json in
   let tr, regions, abort = traced_run p ~workload ~mode ~iters ~cap ~fuel () in
   Printf.printf "vtrace: %s on %s, %s mode (%d iterations)\n" workload port mode iters;
   Printf.printf "  %d records seen, %d retained, %d dropped (ring 2^%d)\n" (Trace.seen tr)
@@ -89,19 +91,19 @@ let capture port workload mode iters cap fuel bin json =
   | None -> ());
   (match bin with
   | None -> ()
-  | Some path ->
-    Report_util.write_file ~tool:"vtrace" ~binary:true path (fun oc ->
+  | Some (path, out) ->
+    Report_util.write_output out (fun oc ->
         Trace.write_binary oc ~port ~mode ~workload tr);
     Printf.printf "  wrote binary trace to %s\n" path);
   (match json with
   | None -> ()
-  | Some path ->
-    Report_util.write_file ~tool:"vtrace" path (fun oc ->
+  | Some (path, out) ->
+    Report_util.write_output out (fun oc ->
         let b = Buffer.create 65536 in
         Chrome_trace.write_trace b ~symbol:(W.symbol_of regions) ~port ~mode ~workload tr;
         Buffer.output_buffer oc b);
     Printf.printf "  wrote Chrome trace_event JSON to %s (load in Perfetto)\n" path);
-  if bin = None && json = None then begin
+  if Option.is_none bin && Option.is_none json then begin
     (* no export requested: print the tail as a smoke report *)
     let recs = Trace.records tr in
     let n = Array.length recs in

@@ -70,35 +70,36 @@ let rec add_json b ~indent v =
   | List vs -> container '[' ']' (List.map (fun v -> (None, v)) vs)
   | Obj kvs -> container '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
 
-let write_file ~tool ?(binary = false) path f =
-  let fail reason =
-    (* Sys_error messages usually lead with the path already *)
-    let pre = String.length path + 2 in
-    let reason =
-      if String.starts_with ~prefix:(path ^ ": ") reason then
-        String.sub reason pre (String.length reason - pre)
-      else reason
-    in
-    Printf.eprintf "%s: cannot write %s: %s\n" tool path reason;
-    exit 1
-  in
-  match (if binary then open_out_bin else open_out) path with
-  | exception Sys_error reason -> fail reason
-  | oc -> (
-    match
-      f oc;
-      close_out oc
-    with
-    | () -> ()
-    | exception Sys_error reason ->
-      close_out_noerr oc;
-      fail reason)
+type output = { tool : string; path : string; oc : out_channel }
 
-let write_json ~tool path v =
+let cannot_write ~tool path reason =
+  (* Sys_error messages usually lead with the path already *)
+  let pre = String.length path + 2 in
+  let reason =
+    if String.starts_with ~prefix:(path ^ ": ") reason then
+      String.sub reason pre (String.length reason - pre)
+    else reason
+  in
+  Printf.eprintf "%s: cannot write %s: %s\n" tool path reason;
+  exit 1
+
+let open_output ~tool ?(binary = false) path =
+  try { tool; path; oc = (if binary then open_out_bin else open_out) path }
+  with Sys_error reason -> cannot_write ~tool path reason
+
+let write_output { tool; path; oc } f =
+  try
+    f oc;
+    close_out oc
+  with Sys_error reason ->
+    close_out_noerr oc;
+    cannot_write ~tool path reason
+
+let write_json o v =
   let b = Buffer.create 4096 in
   add_json b ~indent:0 v;
   Buffer.add_char b '\n';
-  write_file ~tool path (fun oc -> Buffer.output_buffer oc b)
+  write_output o (fun oc -> Buffer.output_buffer oc b)
 
 let percentiles (st : Tel.dist_stats) =
   List.map (Tel.quantile_of_stats st) [ 0.5; 0.9; 0.99; 0.999 ]

@@ -17,16 +17,23 @@ type json =
   | List of json list
   | Obj of (string * json) list  (** members in the given order *)
 
-(** [write_file ~tool path f] opens [path] (text mode unless
-    [binary]), runs [f] on the channel and closes it.  A path that
-    cannot be opened or written prints [TOOL: cannot write PATH:
-    REASON] on stderr and exits 1. *)
-val write_file : tool:string -> ?binary:bool -> string -> (out_channel -> unit) -> unit
+(** an output file, opened before the work whose result it holds *)
+type output
 
-(** [write_json ~tool path v] writes [v] through {!write_file}: nested
+(** [open_output ~tool path] opens [path] for writing (text mode unless
+    [binary]).  A path that cannot be opened prints [TOOL: cannot write
+    PATH: REASON] on stderr and exits 1, so a tool opens its outputs
+    before it runs any workload. *)
+val open_output : tool:string -> ?binary:bool -> string -> output
+
+(** [write_output o f] runs [f] on the channel and closes it; a write
+    error exits 1 with the same message *)
+val write_output : output -> (out_channel -> unit) -> unit
+
+(** [write_json o v] writes [v] through {!write_output}: nested
     containers of up to eight scalars on one line, the document and
     larger or nested containers one member per line *)
-val write_json : tool:string -> string -> json -> unit
+val write_json : output -> json -> unit
 
 (** {2 Telemetry} *)
 

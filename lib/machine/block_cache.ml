@@ -15,9 +15,9 @@
    byte length ([len_bytes], fixed at [create]) so that invalidation
    can tell which resident blocks a store overlaps.
 
-   Invalidation: the owning simulator registers [invalidate] as a
-   memory write watcher alongside {!Decode_cache.invalidate} (see
-   {!Mem.add_write_watcher}), so stores executed by simulated code,
+   Invalidation: the owning simulator's one memory write watcher calls
+   [invalidate] right after {!Decode_cache.invalidate} (see
+   {!Mem.set_write_watcher}), so stores executed by simulated code,
    host-side [install_code] and the bulk helpers all drop overlapping
    blocks.  A store at [addr] can only overlap a block whose entry lies
    in [addr - max_bytes + 4, addr + len), so the scan window is bounded

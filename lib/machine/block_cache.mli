@@ -57,8 +57,8 @@ val set : 'b t -> int -> 'b -> unit
 
 (** [invalidate t addr len]: drop every resident block whose covered
     code range overlaps [addr, addr+len), setting the {!dirty} flag if
-    any was dropped.  Registered by the simulators as a {!Mem} write
-    watcher, next to {!Decode_cache.invalidate}. *)
+    any was dropped.  Called by the simulators' one {!Mem} write
+    watcher, after {!Decode_cache.invalidate}. *)
 val invalidate : 'b t -> int -> int -> unit
 
 (** drop everything — the block-cache analogue of v_end's icache

@@ -11,8 +11,8 @@
    pure function of the word in memory, so an entry is valid exactly
    until that word is overwritten.
 
-   Invalidation: the owning simulator registers
-   [invalidate] as its memory's write watcher (see
+   Invalidation: the owning simulator's memory write watcher calls
+   [invalidate] (see
    {!Mem.set_write_watcher}), so stores executed by simulated code,
    host-side [install_code], and the bulk helpers all drop overlapping
    entries.  The [lo, hi) bounds of filled entries make the common case

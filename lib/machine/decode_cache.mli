@@ -7,8 +7,8 @@
     cached value.
 
     Correctness contract: an entry is valid exactly until the underlying
-    word changes.  The owning simulator registers {!invalidate} as its
-    memory's write watcher ({!Mem.set_write_watcher}), which covers
+    word changes.  The owning simulator's memory write watcher
+    ({!Mem.set_write_watcher}) calls {!invalidate}, which covers
     simulated stores (self-modifying code), host-side
     {!Mem.install_code} (regenerating code at the same address) and the
     bulk write helpers.  {!clear} is the predecode analogue of v_end's

@@ -207,17 +207,15 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
         ~len_bytes:(fun b -> 4 * b.n) () in
     let rc = Region_cache.create ~tel:telemetry ~name:(name ".rc") ~mem_bytes:cfg.mem_bytes
         ~spans:(fun r -> r.r_spans) () in
-    ignore (Mem.add_write_watcher mem (Decode_cache.invalidate pdc) : Mem.watcher);
-    ignore (Mem.add_write_watcher mem (Block_cache.invalidate bc) : Mem.watcher);
-    (* A dropped region must abort a running pass even when the
-       overwritten constituent block is no longer bc-resident (so the
-       Block_cache watcher above dropped nothing): raise bc's dirty flag
+    (* The one write watcher keeps every translation cache coherent.  A
+       dropped region must abort a running pass even when the
+       overwritten constituent block is no longer bc-resident (so
+       [Block_cache.invalidate] dropped nothing): raise bc's dirty flag
        unconditionally and let the shared store closures raise Retired. *)
-    if regions then
-      ignore
-        (Mem.add_write_watcher mem (fun addr len ->
-             if Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc)
-          : Mem.watcher);
+    Mem.set_write_watcher mem (fun addr len ->
+        Decode_cache.invalidate pdc addr len;
+        Block_cache.invalidate bc addr len;
+        if regions && Region_cache.invalidate rc addr len then Block_cache.mark_dirty bc);
     {
       mem;
       pdc;
@@ -333,7 +331,7 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
   let[@inline] interp_off m pc =
     run_act m pc (I.sem m pc ((if delay then m.npc else pc) + 4) (decode_at m pc))
 
-  let interp m =
+  let[@inline] interp m =
     let pc = m.pc in
     m.insns <- m.insns + 1;
     if m.predecode then interp_pd m pc else interp_off m pc
@@ -486,14 +484,18 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
       Some { entry; n; run = seq (List.mapi wrap all @ [ fin ]); has_delay = term && delay }
 
   (* Exit fixups shared by blocks and regions, for the instruction at
-     pass index [i] (address [a], [dslot] if it is a delay slot):
+     pass index [i] (address [a], [dslot] if it is a delay slot) of the
+     translation entered at [entry]; both credit the [i + 1]
+     instructions the pass retired or issued:
      - [Retired] (a store invalidated a resident block): the aborting
        instruction has retired, pc/npc name its successor, and control
        returns to the dispatch loop without chaining;
      - a fault: the faulting instruction counts as issued (the
        interpreter increments [insns] before executing), pc names it
        and npc its successor — just as [run_go] would leave them. *)
-  let retired_fixup m ~a ~dslot =
+  let retired_fixup m ~entry ~i ~a ~dslot =
+    m.insns <- m.insns + i + 1;
+    Sim_probe.abort m.probe ~entry ~i;
     if dslot then begin
       let t = m.btarget in
       m.pc <- t;
@@ -504,43 +506,10 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
       m.npc <- a + 8
     end
 
-  let fault_fixup m ~a ~dslot =
+  let fault_fixup m ~i ~a ~dslot =
+    m.insns <- m.insns + i + 1;
     m.pc <- a;
     m.npc <- (if dslot then m.btarget else a + 4)
-
-  (* Execute [b] (preconditions: [b.n <= fuel], and on a delay-slot
-     port [m.npc = b.entry + 4]), then chain directly into the next
-     resident block while fuel lasts.  Returns the remaining fuel. *)
-  let rec exec_chain m (b : block) fuel =
-    Trace.mark m.tr Trace.Block_enter b.entry;
-    if Sim_probe.enabled m.probe then begin
-      Sim_probe.block_exec m.probe ~entry:b.entry;
-      Block_cache.note_exec m.bc b.entry
-    end;
-    Block_cache.begin_block m.bc;
-    match b.run () with
-    | () ->
-      let fuel = fuel - b.n in
-      if m.pc = halt_addr then fuel
-      else if m.pc = b.entry && b.n <= fuel then
-        (* self-loop fast path: a clean exit means no resident block was
-           invalidated, so [b] is certainly still cached for [entry] *)
-        exec_chain m b fuel
-      else (
-        match Block_cache.find m.bc m.pc with
-        | Some nb when nb.n <= fuel -> exec_chain m nb fuel
-        | _ -> fuel)
-    | exception Block_cache.Retired ->
-      let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      Sim_probe.abort m.probe ~entry:b.entry ~i;
-      retired_fixup m ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
-      fuel - (i + 1)
-    | exception e ->
-      let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      fault_fixup m ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
-      raise e
 
   (* ---------------------------------------------------------------- *)
   (* Tier-3 regions (see {!Region_cache}): follow the dominant chain of
@@ -734,54 +703,56 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
       !fuel - k
     | exception Block_cache.Retired ->
       let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      Sim_probe.abort m.probe ~entry:r.r_entry ~i;
-      retired_fixup m ~a:r.r_addrs.(i) ~dslot:r.r_delay.(i);
+      retired_fixup m ~entry:r.r_entry ~i ~a:r.r_addrs.(i) ~dslot:r.r_delay.(i);
       !fuel - (i + 1)
     | exception e ->
       let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      fault_fixup m ~a:r.r_addrs.(i) ~dslot:r.r_delay.(i);
+      fault_fixup m ~i ~a:r.r_addrs.(i) ~dslot:r.r_delay.(i);
       raise e
 
-  (* [exec_chain] for regions mode: identical block chaining plus the
-     tier-3 hooks — per-dispatch hotness counting (promoting on the
-     threshold crossing), successor-edge profiling after each clean
-     commit, and chaining into a resident region when one exists at the
-     next pc. *)
-  let rec exec_chain_r m (b : block) fuel =
+  (* the region promoted at [pc], on the regions tier only *)
+  let[@inline] region_at m pc = if m.regions then Region_cache.find m.rc pc else None
+
+  (* Execute [b] (preconditions: [b.n <= fuel], and on a delay-slot
+     port [m.npc = b.entry + 4]), then chain directly into the next
+     resident block while fuel lasts.  Returns the remaining fuel.  The
+     regions tier adds its hooks: per-dispatch hotness counting
+     (promoting on the threshold crossing), successor-edge profiling
+     after each clean commit, and chaining into a resident region ahead
+     of any block at the next pc. *)
+  let rec exec_chain m (b : block) fuel =
     Trace.mark m.tr Trace.Block_enter b.entry;
     if Sim_probe.enabled m.probe then begin
       Sim_probe.block_exec m.probe ~entry:b.entry;
       Block_cache.note_exec m.bc b.entry
     end;
-    if Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
+    if m.regions && Region_cache.note_dispatch m.rc b.entry then promote m b.entry;
     Block_cache.begin_block m.bc;
     match b.run () with
     | () ->
       let fuel = fuel - b.n in
       if m.pc = halt_addr then fuel
       else begin
-        Region_cache.note_succ m.rc b.entry m.pc;
-        match Region_cache.find m.rc m.pc with
+        if m.regions then Region_cache.note_succ m.rc b.entry m.pc;
+        match region_at m m.pc with
         | Some r when r.r_n <= fuel -> exec_region m r fuel
         | _ ->
-          if m.pc = b.entry && b.n <= fuel then exec_chain_r m b fuel
+          if m.pc = b.entry && b.n <= fuel then
+            (* self-loop fast path: a clean exit invalidated no resident
+               block, so [b] is certainly still cached for [entry] *)
+            exec_chain m b fuel
           else (
             match Block_cache.find m.bc m.pc with
-            | Some nb when nb.n <= fuel -> exec_chain_r m nb fuel
+            | Some nb when nb.n <= fuel -> exec_chain m nb fuel
             | _ -> fuel)
       end
     | exception Block_cache.Retired ->
       let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      Sim_probe.abort m.probe ~entry:b.entry ~i;
-      retired_fixup m ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
+      retired_fixup m ~entry:b.entry ~i ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
       fuel - (i + 1)
     | exception e ->
       let i = m.blk_i in
-      m.insns <- m.insns + i + 1;
-      fault_fixup m ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
+      fault_fixup m ~i ~a:(b.entry + (4 * i)) ~dslot:(b.has_delay && i = b.n - 1);
       raise e
 
   (* ---------------------------------------------------------------- *)
@@ -813,36 +784,23 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
        if p <> 0 then m.cycles <- m.cycles + p);
     Trace.retire m.tr pc
 
-  (* one interpreted instruction inside a block-dispatch loop *)
-  let[@inline] step_one m tags shift mask =
+  (* one interpreted instruction inside the dispatch loop; returns the
+     fuel left *)
+  let[@inline] step_one m tags shift mask fuel =
     fetch_probe m tags shift mask;
-    interp_one m
+    interp_one m;
+    fuel - 1
 
   (* The interpreter's run loop.  The fuel check is a register
      countdown.  One [Retired] handler covers the whole loop rather than
      one per store; the fuel left is recovered from the retired count. *)
-  let rec loop_pd m tags shift mask fuel =
-    let pc = m.pc in
-    if pc <> halt_addr then begin
+  let rec interp_loop m tags shift mask fuel =
+    if m.pc <> halt_addr then begin
       if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
       fetch_probe m tags shift mask;
-      m.insns <- m.insns + 1;
-      interp_pd m pc;
-      loop_pd m tags shift mask (fuel - 1)
+      interp m;
+      interp_loop m tags shift mask (fuel - 1)
     end
-
-  let rec loop_off m tags shift mask fuel =
-    let pc = m.pc in
-    if pc <> halt_addr then begin
-      if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-      fetch_probe m tags shift mask;
-      m.insns <- m.insns + 1;
-      interp_off m pc;
-      loop_off m tags shift mask (fuel - 1)
-    end
-
-  let interp_loop m tags shift mask fuel =
-    if m.predecode then loop_pd m tags shift mask fuel else loop_off m tags shift mask fuel
 
   let rec run_go m tags shift mask fuel =
     let i0 = m.insns in
@@ -856,75 +814,40 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
      public [step] stopped on a branch) *)
   let[@inline] enterable m pc = (not delay) || m.npc = pc + 4
 
-  (* Block-dispatch run loop: resident block -> [exec_chain]; no block
-     yet -> compile, cache, retry; uncompilable entry / insufficient fuel
-     for a whole block / non-enterable pc -> one interpreted
-     instruction.  Fuel discipline is identical to [run_go]: a block
-     only runs when it fits whole, so the out-of-fuel point falls on the
-     same instruction. *)
+  (* Block-dispatch run loop: resident region (regions tier) ->
+     [exec_region]; resident block -> [exec_chain]; no block yet ->
+     compile, cache, retry; uncompilable entry / insufficient fuel for a
+     whole block / non-enterable pc -> one interpreted instruction.  Fuel
+     discipline is identical to [run_go]: a region pass or block only
+     runs when it fits whole, so the out-of-fuel point falls on the same
+     instruction. *)
   let rec run_blocks_go m tags shift mask fuel =
     let pc = m.pc in
     if pc <> halt_addr then begin
       if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-      if enterable m pc then (
-        match Block_cache.find m.bc pc with
-        | Some b when b.n <= fuel ->
-          let fuel = exec_chain m b fuel in
-          Sim_probe.chain_flush m.probe;
-          run_blocks_go m tags shift mask fuel
-        | Some _ ->
-          step_one m tags shift mask;
-          run_blocks_go m tags shift mask (fuel - 1)
-        | None -> (
-          match compile_block_timed m pc with
-          | Some b ->
-            Block_cache.set m.bc pc b;
-            run_blocks_go m tags shift mask fuel
-          | None ->
-            step_one m tags shift mask;
-            run_blocks_go m tags shift mask (fuel - 1)))
-      else begin
-        step_one m tags shift mask;
-        run_blocks_go m tags shift mask (fuel - 1)
-      end
-    end
-
-  (* Region-dispatch run loop: [run_blocks_go] with a region probe ahead
-     of the block probe, and chaining through [exec_chain_r] so hotness
-     and successor profiles accumulate.  Fuel discipline is unchanged —
-     a region pass only runs when it fits whole, and when it does not,
-     dispatch falls through to the identical block/interpreter ladder. *)
-  let rec run_regions_go m tags shift mask fuel =
-    let pc = m.pc in
-    if pc <> halt_addr then begin
-      if fuel = 0 then raise (Machine_error "out of fuel (infinite loop?)");
-      if enterable m pc then (
-        match Region_cache.find m.rc pc with
-        | Some r when r.r_n <= fuel ->
-          let fuel = exec_region m r fuel in
-          Sim_probe.chain_flush m.probe;
-          run_regions_go m tags shift mask fuel
-        | _ -> (
-          match Block_cache.find m.bc pc with
-          | Some b when b.n <= fuel ->
-            let fuel = exec_chain_r m b fuel in
+      let fuel =
+        if not (enterable m pc) then step_one m tags shift mask fuel
+        else
+          match region_at m pc with
+          | Some r when r.r_n <= fuel ->
+            let fuel = exec_region m r fuel in
             Sim_probe.chain_flush m.probe;
-            run_regions_go m tags shift mask fuel
-          | Some _ ->
-            step_one m tags shift mask;
-            run_regions_go m tags shift mask (fuel - 1)
-          | None -> (
-            match compile_block_timed m pc with
-            | Some b ->
-              Block_cache.set m.bc pc b;
-              run_regions_go m tags shift mask fuel
-            | None ->
-              step_one m tags shift mask;
-              run_regions_go m tags shift mask (fuel - 1))))
-      else begin
-        step_one m tags shift mask;
-        run_regions_go m tags shift mask (fuel - 1)
-      end
+            fuel
+          | _ -> (
+            match Block_cache.find m.bc pc with
+            | Some b when b.n <= fuel ->
+              let fuel = exec_chain m b fuel in
+              Sim_probe.chain_flush m.probe;
+              fuel
+            | Some _ -> step_one m tags shift mask fuel
+            | None -> (
+              match compile_block_timed m pc with
+              | Some b ->
+                Block_cache.set m.bc pc b;
+                fuel
+              | None -> step_one m tags shift mask fuel))
+      in
+      run_blocks_go m tags shift mask fuel
     end
 
   let run ?(fuel = default_fuel) m =
@@ -941,8 +864,7 @@ module Make (I : ISA) : S with type insn := I.insn and type arch := I.arch = str
     in
     let tags, shift, mask = Cache.probe m.icache in
     (try
-       if m.regions then run_regions_go m tags shift mask fuel
-       else if m.blocks then run_blocks_go m tags shift mask fuel
+       if m.blocks || m.regions then run_blocks_go m tags shift mask fuel
        else run_go m tags shift mask fuel
      with e ->
        let e = match e with I.Bad_insn _ -> illegal m | e -> e in

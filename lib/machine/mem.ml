@@ -9,77 +9,24 @@
 
 exception Fault of string
 
-type watcher = int
-
 type t = {
   data : Bytes.t;
   size : int;
   big_endian : bool;
   mutable on_write : int -> int -> unit;
-      (* called as [f addr len] after every mutation of [data]; always
-         the composition of the live [watchers], rebuilt on every
-         registration change so the store path never grows a closure
-         chain proportional to *historical* registrations *)
-  mutable watchers : (watcher * (int -> int -> unit)) list;
-      (* live watchers, registration order, source of truth for
-         [rebuild]; install/evict churn adds and removes here *)
-  mutable next_watcher : watcher;
+      (* called as [f addr len] after every mutation of [data]; the
+         shared no-op until a watcher is set *)
 }
 
 let ignore_write _ _ = ()
 
 let create ?(big_endian = false) ~size () =
-  {
-    data = Bytes.make size '\000';
-    size;
-    big_endian;
-    on_write = ignore_write;
-    watchers = [];
-    next_watcher = 0;
-  }
+  { data = Bytes.make size '\000'; size; big_endian; on_write = ignore_write }
 
 let size t = t.size
 let big_endian t = t.big_endian
-
-(* Rebuild the store-path dispatcher from the live watcher list.  Zero
-   watchers dispatch to the shared no-op, exactly one dispatches to the
-   bare function (no wrapper closure on the single-watcher fast path),
-   and k > 1 pay one array-iterating wrapper — O(live watchers) per
-   store, never O(registrations ever made). *)
-let rebuild t =
-  match t.watchers with
-  | [] -> t.on_write <- ignore_write
-  | [ (_, f) ] -> t.on_write <- f
-  | ws ->
-    let fs = Array.of_list (List.map snd ws) in
-    let n = Array.length fs in
-    t.on_write <-
-      (fun addr len ->
-        for i = 0 to n - 1 do
-          (Array.unsafe_get fs i) addr len
-        done)
-
-let fresh_handle t =
-  let h = t.next_watcher in
-  t.next_watcher <- h + 1;
-  h
-
-let set_write_watcher t f =
-  t.watchers <- [ (fresh_handle t, f) ];
-  t.on_write <- f
-
-let add_write_watcher t f =
-  let h = fresh_handle t in
-  t.watchers <- t.watchers @ [ (h, f) ];
-  rebuild t;
-  h
-
-let remove_write_watcher t h =
-  let before = t.watchers in
-  t.watchers <- List.filter (fun (h', _) -> h' <> h) before;
-  if List.length t.watchers <> List.length before then rebuild t
-
-let watcher_count t = List.length t.watchers
+let set_write_watcher t f = t.on_write <- f
+let watcher_count t = if t.on_write == ignore_write then 0 else 1
 
 (* Fault construction lives out of line so the bounds checks inlined
    into the simulators' load/store path stay a couple of compares. *)

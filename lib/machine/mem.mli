@@ -14,34 +14,14 @@ val create : ?big_endian:bool -> size:int -> unit -> t
 val size : t -> int
 val big_endian : t -> bool
 
-(** handle naming one registered write watcher, for later removal *)
-type watcher
-
-(** [set_write_watcher t f] registers [f] to be called as [f addr len]
-    after every mutation of the memory — scalar stores, the bulk
-    helpers, and {!install_code}.  The simulators hang
-    {!Decode_cache.invalidate} here so predecoded instructions can
-    never be executed stale.  Registering replaces {e all} previously
-    registered watchers; use {!add_write_watcher} to compose. *)
+(** [set_write_watcher t f] makes [f] the memory's one write watcher,
+    replacing any earlier one, called as [f addr len] after every
+    mutation — scalar stores, the bulk helpers, and {!install_code}.
+    The engine sets one closure that keeps its translation caches
+    coherent, so no stale translation is ever executed. *)
 val set_write_watcher : t -> (int -> int -> unit) -> unit
 
-(** [add_write_watcher t f] registers [f] {e in addition to} any
-    already-registered watchers and returns a handle for
-    {!remove_write_watcher}; on a store, watchers run in registration
-    order.  The simulators register {!Decode_cache.invalidate} and
-    {!Block_cache.invalidate} this way.  Per-store dispatch cost is
-    O(live watchers) — zero watchers hit a shared no-op, a single
-    watcher is called bare (no wrapper closure), and k > 1 share one
-    array walk — never O(registrations ever made), so install/evict
-    churn that adds and removes watchers leaves the store path flat. *)
-val add_write_watcher : t -> (int -> int -> unit) -> watcher
-
-(** [remove_write_watcher t w] unregisters the watcher named by [w];
-    idempotent — removing a handle twice (or one superseded by
-    {!set_write_watcher}) is a no-op *)
-val remove_write_watcher : t -> watcher -> unit
-
-(** live registered watchers (tests pin the store-path cost model) *)
+(** 1 once a watcher is set, 0 before *)
 val watcher_count : t -> int
 
 val read_u8 : t -> int -> int

@@ -274,10 +274,11 @@ let drop t entry =
    simulator's write watcher must then raise its Block_cache's [dirty]
    flag so a running pass aborts via the shared dirty/[Retired]
    protocol even when the overwritten constituent is not itself
-   resident in the block cache.  Registered as a {!Mem} write watcher
-   next to the Block_cache and Decode_cache watchers; the resident
-   list is short (only hot entries are promoted), and [lo, hi) makes
-   the common case — a data store nowhere near code — two comparisons.
+   resident in the block cache.  Called by the one {!Mem} write
+   watcher after the Decode_cache and Block_cache invalidations; the
+   resident list is short (only hot entries are promoted), and
+   [lo, hi) makes the common case — a data store nowhere near code —
+   two comparisons.
 
    The store also unpins any [mark_unpromotable] entry whose code
    window it overlaps: a pin describes the code the builder saw, and a

@@ -82,11 +82,12 @@ val set : 'r t -> int -> insns:int -> 'r -> unit
     constituent-block spans overlaps [addr, addr+len), resetting the
     dropped entries' profiles, and unpin any {!mark_unpromotable}
     entry whose code window the store overlaps.  [true] iff a region
-    was dropped: the owning simulator's write watcher (registered next
-    to the Block_cache and Decode_cache watchers) must then raise its
-    Block_cache's dirty flag, so a running region pass aborts via the
-    shared dirty/[Retired] protocol even when the overwritten
-    constituent block is not itself resident in the block cache. *)
+    was dropped: the owning simulator's write watcher (which calls this
+    after the Decode_cache and Block_cache invalidations) must then
+    raise its Block_cache's dirty flag, so a running region pass
+    aborts via the shared dirty/[Retired] protocol even when the
+    overwritten constituent block is not itself resident in the block
+    cache. *)
 val invalidate : 'r t -> int -> int -> bool
 
 (** drop everything, profiles and pins included *)

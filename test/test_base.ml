@@ -355,8 +355,10 @@ let test_mem_bulk_bounds () =
 
 let test_mem_write_watcher () =
   let m = Vmachine.Mem.create ~size:256 () in
+  check Alcotest.int "fresh memory has no watcher" 0 (Vmachine.Mem.watcher_count m);
   let log = ref [] in
   Vmachine.Mem.set_write_watcher m (fun addr len -> log := (addr, len) :: !log);
+  check Alcotest.int "one watcher once set" 1 (Vmachine.Mem.watcher_count m);
   Vmachine.Mem.write_u8 m 1 0xAB;
   Vmachine.Mem.write_u16 m 2 0xCDEF;
   Vmachine.Mem.write_u32 m 4 0xDEADBEEF;
@@ -371,7 +373,23 @@ let test_mem_write_watcher () =
     Alcotest.(list (pair int int))
     "watcher sees every mutation"
     [ (1, 1); (2, 2); (4, 4); (8, 4); (12, 4); (32, 3); (40, 5); (48, 2) ]
-    got
+    got;
+  (* setting again replaces: only the new watcher fires *)
+  let log2 = ref [] in
+  Vmachine.Mem.set_write_watcher m (fun addr len -> log2 := (addr, len) :: !log2);
+  check Alcotest.int "a second set still leaves one" 1 (Vmachine.Mem.watcher_count m);
+  log := [];
+  Vmachine.Mem.write_u32 m 16 7;
+  check Alcotest.(list (pair int int)) "replaced watcher is silent" [] !log;
+  check Alcotest.(list (pair int int)) "new watcher fires" [ (16, 4) ] !log2;
+  (* the engine keeps its translation caches coherent through one
+     watcher on every tier *)
+  List.iter
+    (fun (predecode, blocks, regions) ->
+      let sim = Vmips.Mips_sim.create ~predecode ~blocks ~regions Vmachine.Mconfig.test_config in
+      check Alcotest.int "engine machine has one watcher" 1
+        (Vmachine.Mem.watcher_count sim.Vmachine.Engine.mem))
+    [ (false, false, false); (true, false, false); (true, true, false); (true, true, true) ]
 
 let prop_mem_u64_roundtrip =
   QCheck.Test.make ~name:"u64 read/write roundtrip both endiannesses" ~count:300
